@@ -1,6 +1,6 @@
 #include "compiler/dddg.hh"
 
-#include <unordered_map>
+#include <limits>
 
 #include "isa/op_traits.hh"
 
@@ -39,8 +39,11 @@ Dddg::Dddg(const Program &prog, const std::vector<TraceEntry> &trace)
 {
     vertices_.reserve(trace.size());
 
-    // Last dynamic writer of each register (by RegId).
-    std::unordered_map<RegId, std::uint32_t> lastWriter;
+    // Last dynamic writer of each register, indexed by the 16-bit RegId.
+    constexpr std::uint32_t noWriter =
+        std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> lastWriter(
+        std::size_t{std::numeric_limits<RegId>::max()} + 1, noWriter);
     std::int32_t activeRegion = -1;
 
     for (const TraceEntry &entry : trace) {
@@ -66,19 +69,17 @@ Dddg::Dddg(const Program &prog, const std::vector<TraceEntry> &trace)
         const auto id = static_cast<std::uint32_t>(vertices_.size());
         const OperandInfo ops = operandsOf(inst);
         for (unsigned k = 0; k < ops.numSources; ++k) {
-            const auto it = lastWriter.find(ops.sources[k]);
-            if (it == lastWriter.end()) {
+            const std::uint32_t writer = lastWriter[ops.sources[k]];
+            if (writer == noWriter)
                 ++v.externalInputs;
-                continue;
-            }
-            v.preds.push_back(it->second);
-            vertices_[it->second].succs.push_back(id);
+            else
+                v.preds.push_back(writer);
         }
         if (ops.dest != invalidReg)
             lastWriter[ops.dest] = id;
 
         totalWeight_ += v.weight;
-        vertices_.push_back(std::move(v));
+        vertices_.push_back(v);
     }
 }
 

@@ -5,6 +5,9 @@
  *
  * Vertices are dynamic instruction instances from a trace window; a
  * directed edge v -> w means w consumed the register value v produced.
+ * Edges are stored only on the consumer, as w's inline `preds` list (one
+ * entry per register source read, so a value read twice appears twice);
+ * the candidate search walks the transpose and never needs successors.
  * Each vertex is weighted by its estimated latency (Section 5). Register
  * reads with no producer inside the window are *external inputs*; loads and
  * constants are boundary producers (their values come from outside the
@@ -15,6 +18,7 @@
 #define AXMEMO_COMPILER_DDDG_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "compiler/trace.hh"
@@ -33,6 +37,25 @@ enum class VertexKind : std::uint8_t
     Marker   ///< region begin/end
 };
 
+/** Producers of one vertex's register sources, stored inline. */
+struct PredList
+{
+    static constexpr unsigned capacity = 3;
+
+    std::uint32_t ids[capacity] = {};
+    std::uint8_t count = 0;
+
+    std::size_t size() const { return count; }
+    std::uint32_t operator[](std::size_t i) const { return ids[i]; }
+    const std::uint32_t *begin() const { return ids; }
+    const std::uint32_t *end() const { return ids + count; }
+    void push_back(std::uint32_t id) { ids[count++] = id; }
+};
+
+static_assert(PredList::capacity ==
+                  std::extent_v<decltype(OperandInfo::sources)>,
+              "one pred slot per possible register source");
+
 /** One dynamic vertex. */
 struct DddgVertex
 {
@@ -46,8 +69,7 @@ struct DddgVertex
     /** Register operands read with no producer in the window. */
     std::uint8_t externalInputs = 0;
 
-    std::vector<std::uint32_t> preds;
-    std::vector<std::uint32_t> succs;
+    PredList preds;
 };
 
 /** The dynamic data dependence graph of one trace window. */

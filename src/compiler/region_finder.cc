@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_set>
 
 #include "common/log.hh"
 
@@ -38,11 +37,19 @@ RegionFinder::analyze(const Dddg &graph) const
     std::vector<char> covered(verts.size(), 0);
     double ciSumAll = 0.0;
 
-    // Reused scratch for the BFS.
+    // Reused scratch for the BFS. Set membership is a generation stamp:
+    // a slot is in the current root's set iff it holds that root's
+    // epoch, so starting a new root is one increment, not a clear.
     std::vector<std::uint32_t> cone;
     std::vector<std::uint32_t> frontier;
-    std::unordered_set<std::uint32_t> inCone;
-    std::unordered_set<InstIndex> staticInCone;
+    std::vector<InstIndex> signature;
+    InstIndex maxStaticId = 0;
+    for (const DddgVertex &vert : verts)
+        maxStaticId = std::max(maxStaticId, vert.staticId);
+    std::vector<std::uint32_t> coneStamp(verts.size(), 0);
+    std::vector<std::uint32_t> boundaryStamp(verts.size(), 0);
+    std::vector<std::uint32_t> staticStamp(maxStaticId + 1, 0);
+    std::uint32_t epoch = 0;
 
     for (std::uint32_t v = 0; v < verts.size(); ++v) {
         if (verts[v].kind != VertexKind::Compute)
@@ -50,14 +57,13 @@ RegionFinder::analyze(const Dddg &graph) const
 
         // Directed BFS on the transpose rooted at v (Section 5): grow the
         // backward cone of computational vertices.
+        ++epoch;
         cone.clear();
         frontier.clear();
-        inCone.clear();
-        staticInCone.clear();
         cone.push_back(v);
         frontier.push_back(v);
-        inCone.insert(v);
-        staticInCone.insert(verts[v].staticId);
+        coneStamp[v] = epoch;
+        staticStamp[verts[v].staticId] = epoch;
         bool overflow = false;
 
         while (!frontier.empty() && !overflow) {
@@ -66,21 +72,22 @@ RegionFinder::analyze(const Dddg &graph) const
             for (std::uint32_t p : verts[u].preds) {
                 if (verts[p].kind != VertexKind::Compute)
                     continue; // boundary producer -> becomes an input
-                if (inCone.count(p))
+                if (coneStamp[p] == epoch)
                     continue;
                 // A transformable subgraph is one program block
                 // executed once (Section 5): a second dynamic instance
                 // of a static instruction marks a loop-carried
                 // recurrence (e.g. an induction chain). Stop there —
                 // the recurrence value becomes a boundary input.
-                if (staticInCone.count(verts[p].staticId))
+                std::uint32_t &staticSeen = staticStamp[verts[p].staticId];
+                if (staticSeen == epoch)
                     continue;
                 if (cone.size() >= config_.maxConeVertices) {
                     overflow = true;
                     break;
                 }
-                inCone.insert(p);
-                staticInCone.insert(verts[p].staticId);
+                coneStamp[p] = epoch;
+                staticSeen = epoch;
                 cone.push_back(p);
                 frontier.push_back(p);
             }
@@ -90,7 +97,7 @@ RegionFinder::analyze(const Dddg &graph) const
 
         // Inputs: boundary predecessors (deduplicated) plus reads of
         // window-external values.
-        std::unordered_set<std::uint32_t> boundary;
+        unsigned boundaryInputs = 0;
         unsigned externals = 0;
         std::uint64_t weight = 0;
         for (std::uint32_t u : cone) {
@@ -99,13 +106,14 @@ RegionFinder::analyze(const Dddg &graph) const
             for (std::uint32_t p : verts[u].preds) {
                 // Compile-time constants are materialized inside the
                 // block, not memoization inputs.
-                if (!inCone.count(p) &&
-                    verts[p].kind != VertexKind::Const)
-                    boundary.insert(p);
+                if (coneStamp[p] != epoch && boundaryStamp[p] != epoch &&
+                    verts[p].kind != VertexKind::Const) {
+                    boundaryStamp[p] = epoch;
+                    ++boundaryInputs;
+                }
             }
         }
-        const unsigned numInputs =
-            static_cast<unsigned>(boundary.size()) + externals;
+        const unsigned numInputs = boundaryInputs + externals;
         if (numInputs == 0 || numInputs > config_.maxInputs)
             continue;
 
@@ -113,8 +121,7 @@ RegionFinder::analyze(const Dddg &graph) const
         if (ci < config_.minCiRatio)
             continue;
 
-        std::vector<InstIndex> signature;
-        signature.reserve(cone.size());
+        signature.clear();
         for (std::uint32_t u : cone)
             signature.push_back(verts[u].staticId);
         std::sort(signature.begin(), signature.end());

@@ -67,8 +67,10 @@ const char *flagName(Flag flag);
 namespace detail {
 /** Bitmask of enabled flags; relaxed loads keep the guard one test. */
 extern std::atomic<std::uint32_t> flagWord;
-/** Current simulated cycle of this thread (trace-line prefix). */
-extern thread_local std::uint64_t tlsCycle;
+/** Current simulated cycle of this thread (trace-line prefix).
+ * constinit: accesses from other translation units address the slot
+ * directly instead of through a TLS wrapper call. */
+extern constinit thread_local std::uint64_t tlsCycle;
 } // namespace detail
 
 #ifdef AXMEMO_NO_TRACE

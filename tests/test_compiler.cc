@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <stdexcept>
 
 #include "compiler/atm_transform.hh"
@@ -19,6 +20,7 @@
 #include "isa/builder.hh"
 #include "isa/disasm.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace axmemo {
 namespace {
@@ -215,6 +217,202 @@ TEST(RegionFinder, ThresholdFiltersEverything)
     const RegionAnalysis analysis = RegionFinder(config).analyze(graph);
     EXPECT_EQ(analysis.totalDynamicSubgraphs, 0u);
     EXPECT_TRUE(analysis.unique.empty());
+}
+
+/** A trace that executes every instruction of @p prog once, in order. */
+std::vector<TraceEntry>
+straightLineTrace(const Program &prog)
+{
+    std::vector<TraceEntry> trace;
+    for (InstIndex i = 0; i < prog.size(); ++i)
+        trace.push_back({i, prog.at(i).op});
+    return trace;
+}
+
+TEST(RegionFinder, ConeOverflowDropsRootButLimitQualifies)
+{
+    // r1 <- r0 + 1 (r0 window-external), then six more adds and a div:
+    // an eight-vertex chain whose full cone weighs 7 * 1 + 12 = 19 over
+    // one input. Every shorter cone has CI_Ratio <= 7, so with a
+    // threshold of 10 only the root at the end of the chain qualifies.
+    Program p("chain");
+    for (unsigned k = 0; k < 7; ++k)
+        p.append({.op = Op::Add, .dst = iregId(k + 1),
+                  .src1 = iregId(k), .imm = 1});
+    p.append({.op = Op::Div, .dst = iregId(8), .src1 = iregId(7),
+              .imm = 3});
+    const Dddg graph(p, straightLineTrace(p));
+
+    RegionFinderConfig config;
+    config.minCiRatio = 10.0;
+    config.maxConeVertices = 8;
+    const RegionAnalysis atLimit = RegionFinder(config).analyze(graph);
+    EXPECT_EQ(atLimit.totalDynamicSubgraphs, 1u);
+    ASSERT_EQ(atLimit.unique.size(), 1u);
+    EXPECT_EQ(atLimit.unique[0].signature.size(), 8u);
+    EXPECT_EQ(atLimit.unique[0].meanWeight, 19.0);
+    EXPECT_EQ(atLimit.unique[0].meanInputs, 1.0);
+
+    config.maxConeVertices = 7;
+    const RegionAnalysis overflow = RegionFinder(config).analyze(graph);
+    EXPECT_EQ(overflow.totalDynamicSubgraphs, 0u);
+    EXPECT_TRUE(overflow.unique.empty());
+}
+
+TEST(RegionFinder, SecondInstanceOfStaticInstStopsCone)
+{
+    // One static div executed twice, the second instance consuming the
+    // first: a loop-carried recurrence. Each root's cone is its own
+    // vertex alone, and the earlier instance becomes a boundary input.
+    Program p("recurrence");
+    p.append({.op = Op::Div, .dst = iregId(1), .src1 = iregId(1),
+              .imm = 3});
+    const std::vector<TraceEntry> trace = {{0, Op::Div}, {0, Op::Div}};
+    const Dddg graph(p, trace);
+    ASSERT_EQ(graph.size(), 2u);
+    ASSERT_EQ(graph.vertices()[1].preds.size(), 1u);
+    EXPECT_EQ(graph.vertices()[1].preds[0], 0u);
+
+    const RegionAnalysis analysis = RegionFinder().analyze(graph);
+    EXPECT_EQ(analysis.totalDynamicSubgraphs, 2u);
+    ASSERT_EQ(analysis.unique.size(), 1u);
+    EXPECT_EQ(analysis.unique[0].signature, std::vector<InstIndex>{0});
+    EXPECT_EQ(analysis.unique[0].dynamicCount, 2u);
+    // Without the rule the second root's cone would weigh 24, not 12.
+    EXPECT_EQ(analysis.unique[0].meanWeight, 12.0);
+    EXPECT_EQ(analysis.unique[0].meanInputs, 1.0);
+}
+
+TEST(RegionFinder, ConstPredecessorsAreNotInputs)
+{
+    // r2 <- r1 / r3 with r1 a constant and r3 window-external: one
+    // input. A div fed only by a constant has no inputs and no
+    // candidate.
+    Program p("consts");
+    p.append({.op = Op::Movi, .dst = iregId(1), .imm = 5});
+    p.append({.op = Op::Div, .dst = iregId(2), .src1 = iregId(1),
+              .src2 = iregId(3)});
+    p.append({.op = Op::Div, .dst = iregId(4), .src1 = iregId(1),
+              .imm = 7});
+    const Dddg graph(p, straightLineTrace(p));
+    ASSERT_EQ(graph.vertices()[1].preds.size(), 1u);
+    EXPECT_EQ(graph.vertices()[1].externalInputs, 1u);
+
+    const RegionAnalysis analysis = RegionFinder().analyze(graph);
+    EXPECT_EQ(analysis.totalDynamicSubgraphs, 1u);
+    ASSERT_EQ(analysis.unique.size(), 1u);
+    EXPECT_EQ(analysis.unique[0].signature, std::vector<InstIndex>{1});
+    EXPECT_EQ(analysis.unique[0].meanInputs, 1.0);
+    EXPECT_EQ(analysis.unique[0].ciRatio, 12.0);
+}
+
+TEST(RegionFinder, ValueReadTwiceIsOneInput)
+{
+    // r2 <- r1 / r1 with r1 loaded: two preds entries, one input.
+    Program p("square");
+    p.append({.op = Op::Ld, .dst = iregId(1), .src1 = iregId(0)});
+    p.append({.op = Op::Div, .dst = iregId(2), .src1 = iregId(1),
+              .src2 = iregId(1)});
+    const Dddg graph(p, straightLineTrace(p));
+    const auto &preds = graph.vertices()[1].preds;
+    ASSERT_EQ(preds.size(), 2u);
+    EXPECT_EQ(preds[0], 0u);
+    EXPECT_EQ(preds[1], 0u);
+
+    const RegionAnalysis analysis = RegionFinder().analyze(graph);
+    ASSERT_EQ(analysis.unique.size(), 1u);
+    EXPECT_EQ(analysis.unique[0].meanInputs, 1.0);
+    EXPECT_EQ(analysis.unique[0].ciRatio, 12.0);
+}
+
+/** FNV-1a over the 64-bit words of a value stream. */
+struct Fnv1a
+{
+    std::uint64_t hash = 14695981039346656037ull;
+
+    void
+    add(std::uint64_t word)
+    {
+        for (unsigned byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    }
+
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+};
+
+/** Digest of every field of @p analysis, floating point by bit pattern. */
+std::uint64_t
+digestOf(const RegionAnalysis &analysis)
+{
+    Fnv1a fnv;
+    fnv.add(analysis.totalDynamicSubgraphs);
+    fnv.add(analysis.avgCiRatio);
+    fnv.add(analysis.coverage);
+    fnv.add(std::uint64_t{analysis.unique.size()});
+    for (const UniqueSubgraph &u : analysis.unique) {
+        fnv.add(std::uint64_t{u.signature.size()});
+        for (InstIndex id : u.signature)
+            fnv.add(static_cast<std::uint64_t>(id));
+        fnv.add(u.dynamicCount);
+        fnv.add(u.ciRatio);
+        fnv.add(u.meanInputs);
+        fnv.add(u.meanWeight);
+        fnv.add(static_cast<std::uint64_t>(u.region));
+    }
+    return fnv.hash;
+}
+
+TEST(RegionFinder, GoldenAnalysisOfEveryBenchmark)
+{
+    // Table 1's sample flow: sample inputs at scale 0.01, a 2^18-entry
+    // trace window, default search parameters. Any change to the
+    // traversal order, the merge order or a floating-point accumulation
+    // order shows up here.
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t dynamicSubgraphs;
+        std::size_t uniqueSubgraphs;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"blackscholes", 125593, 3, 0x7231baecc8f81b8eull},
+        {"fft", 12174, 5, 0xc730bf5e1f7cdcb8ull},
+        {"inversek2j", 110373, 1, 0xb9b019a6bfce190dull},
+        {"jmeint", 48436, 11, 0xe31f6cb6f02e07afull},
+        {"jpeg", 73872, 12, 0xa29f7188d8e29812ull},
+        {"kmeans", 53846, 12, 0x6d47c596b5b29befull},
+        {"sobel", 45775, 3, 0x70acd9fc452b6a0eull},
+        {"hotspot", 77632, 8, 0xeda4d4577d3bf710ull},
+        {"lavamd", 129354, 4, 0x4ef8717d8461c6b5ull},
+        {"srad", 85760, 4, 0x3c7e1334a3ec0318ull},
+    };
+    ASSERT_EQ(std::size(pins), workloadNames().size());
+
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        auto workload = makeWorkload(pin.name);
+        SimMemory mem;
+        WorkloadParams params;
+        params.scale = 0.01;
+        params.sampleSet = true;
+        workload->prepare(mem, params);
+        const Program prog = workload->build();
+
+        TraceBuffer buffer(1u << 18);
+        Simulator sim(prog, mem, {});
+        sim.setTraceBuffer(&buffer);
+        sim.run();
+
+        const Dddg graph(prog, buffer.entries());
+        const RegionAnalysis analysis = RegionFinder().analyze(graph);
+        EXPECT_EQ(analysis.totalDynamicSubgraphs, pin.dynamicSubgraphs);
+        EXPECT_EQ(analysis.unique.size(), pin.uniqueSubgraphs);
+        EXPECT_EQ(digestOf(analysis), pin.digest)
+            << std::hex << "digest 0x" << digestOf(analysis);
+    }
 }
 
 // ------------------------------------------------------- memo transform
