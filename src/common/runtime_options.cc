@@ -125,13 +125,6 @@ RuntimeOptions::fromEnv()
             axm_warn("ignoring malformed AXMEMO_NO_BATCH='", env,
                      "' (want 0 or 1)");
     }
-    if (const char *env = envOrNull("AXMEMO_NO_SIMD")) {
-        if (std::strcmp(env, "1") == 0)
-            options.simd = false;
-        else if (std::strcmp(env, "0") != 0)
-            axm_warn("ignoring malformed AXMEMO_NO_SIMD='", env,
-                     "' (want 0 or 1)");
-    }
 
     if (const char *env = envOrNull("AXMEMO_SHARD_DIR"))
         options.shardDir = env;
@@ -274,8 +267,6 @@ RuntimeOptions::describeKnobs()
            "interpreter loop: auto | threaded | switch (bit-identical)\n"
            "  AXMEMO_NO_BATCH     --no-batch         0                 "
            "1 disables basic-block macro-op batching\n"
-           "  AXMEMO_NO_SIMD      --no-simd          0                 "
-           "1 disables the SSE4.2/PCLMUL CRC kernels\n"
            "  AXMEMO_SHARD_DIR    --shard-dir <d>    (off)             "
            "shared work-queue directory: cooperate with other workers\n"
            "  AXMEMO_WORKER_ID    --worker-id <s>    w<pid>            "

@@ -30,14 +30,13 @@
  *   AXMEMO_FAULT_INJECT --fault-inject    test hook: fail matching jobs
  *   AXMEMO_DISPATCH     --dispatch <m>    interpreter loop: auto|threaded|switch
  *   AXMEMO_NO_BATCH     --no-batch        1 disables basic-block batching
- *   AXMEMO_NO_SIMD      --no-simd         1 disables the SIMD CRC kernels
  *   AXMEMO_SHARD_DIR    --shard-dir <d>   shared work-queue directory
  *   AXMEMO_WORKER_ID    --worker-id <s>   shard worker identity
  *   AXMEMO_LEASE        --lease <s>       claim lease window seconds (30)
  *   AXMEMO_ISOLATE      --isolate         1 forks each job into a child
  *   AXMEMO_TIMELINE     --trace-timeline  span timeline output file
  *
- * The dispatch/batch/simd knobs select between bit-identical host data
+ * The dispatch/batch knobs select between bit-identical host data
  * paths (DESIGN.md §10): they change simulation speed, never simulated
  * results, so they are host-side options rather than ExperimentConfig
  * fields and stay out of the canonical manifest serialization.
@@ -82,9 +81,6 @@ struct RuntimeOptions
     /** Basic-block macro-op batching in the simulator inner loop;
      * AXMEMO_NO_BATCH=1 / --no-batch turns it off. */
     bool blockBatch = true;
-    /** SIMD CRC kernels (SSE4.2/PCLMUL) when the host supports them;
-     * AXMEMO_NO_SIMD=1 / --no-simd forces the portable slice paths. */
-    bool simd = true;
     /** Shared work-queue directory (core/shard_queue.hh); empty = the
      * sweep runs single-process with the plain resume journal. */
     std::string shardDir;

@@ -2,19 +2,8 @@
 
 #include "common/bits.hh"
 #include "common/log.hh"
-#include "common/runtime_options.hh"
-#include "crc/cpu_features.hh"
-#include "crc/crc_accel.hh"
 
 namespace axmemo {
-
-namespace {
-
-/** Buffers below this keep the slice path; the PCLMUL kernel's final
- * reduction (16 portable byte steps) only amortizes on larger blocks. */
-constexpr std::size_t kClmulMinLen = 256;
-
-} // namespace
 
 CrcSpec
 CrcSpec::crc8()
@@ -87,7 +76,7 @@ CrcSpec::ofWidth(unsigned width)
     return spec;
 }
 
-CrcEngine::CrcEngine(const CrcSpec &spec, bool allowAccel)
+CrcEngine::CrcEngine(const CrcSpec &spec)
     : spec_(spec), mask_(maskLow(spec.width)),
       topBit_(1ull << (spec.width - 1)), table_(256, 0)
 {
@@ -127,40 +116,6 @@ CrcEngine::CrcEngine(const CrcSpec &spec, bool allowAccel)
         }
     }
 
-    // Hardware tiers: an engine only arms a SIMD kernel when the caller
-    // allows it, the kernel is compiled in, the AXMEMO_NO_SIMD knob is
-    // off, the host CPU has the instructions, and the spec is one the
-    // kernel is exact for. Everything else stays on the slice/table
-    // paths above.
-    if (allowAccel && accel::compiledIn() && RuntimeOptions::global().simd) {
-        if (spec_.reflected && spec_.width == 32 &&
-            (spec_.poly & mask_) == 0x1edc6f41ull && cpuHasSse42()) {
-            // The SSE4.2 crc32 instruction is reflected CRC-32C.
-            hwCrc32c_ = true;
-        } else if (!spec_.reflected && stateBytes_ != 0 &&
-                   cpuHasPclmul()) {
-            clmul_ = true;
-            foldK_[0] = xPowModPoly(128);
-            foldK_[1] = xPowModPoly(192);
-            foldK_[2] = xPowModPoly(512);
-            foldK_[3] = xPowModPoly(576);
-        }
-    }
-}
-
-std::uint64_t
-CrcEngine::xPowModPoly(unsigned n) const
-{
-    // Clock the (non-reflected) LFSR n times from polynomial 1: each
-    // step multiplies by x and reduces mod P.
-    std::uint64_t state = 1;
-    for (unsigned i = 0; i < n; ++i) {
-        const bool feedback = (state & topBit_) != 0;
-        state = (state << 1) & mask_;
-        if (feedback)
-            state ^= spec_.poly & mask_;
-    }
-    return state;
 }
 
 std::uint64_t
@@ -243,8 +198,8 @@ CrcEngine::updateByte(std::uint64_t state, std::uint8_t byte) const
 }
 
 std::uint64_t
-CrcEngine::updatePortable(std::uint64_t state, const void *data,
-                          std::size_t len) const
+CrcEngine::update(std::uint64_t state, const void *data,
+                  std::size_t len) const
 {
     const auto *bytes = static_cast<const std::uint8_t *>(data);
     if (stateBytes_ == 4 && !spec_.reflected) {
@@ -279,36 +234,11 @@ CrcEngine::updatePortable(std::uint64_t state, const void *data,
 }
 
 std::uint64_t
-CrcEngine::update(std::uint64_t state, const void *data,
-                  std::size_t len) const
-{
-    const auto *bytes = static_cast<const std::uint8_t *>(data);
-    if (hwCrc32c_)
-        return accel::crc32cUpdate(state, bytes, len);
-    if (clmul_ && len >= kClmulMinLen) {
-        const accel::FoldConsts k{foldK_[0], foldK_[1], foldK_[2],
-                                  foldK_[3]};
-        std::uint8_t residue[16];
-        const std::size_t consumed = accel::clmulFold(
-            k, spec_.width, state, bytes, len, residue);
-        // The residue's portable CRC from a zero register IS the folded
-        // state; reducing through the verified slice path keeps the
-        // whole pipeline bit-identical to the serial LFSR.
-        state = updatePortable(0, residue, 16);
-        bytes += consumed;
-        len -= consumed;
-    }
-    return updatePortable(state, bytes, len);
-}
-
-std::uint64_t
 CrcEngine::updateWord(std::uint64_t state, std::uint64_t word,
                       unsigned nbytes) const
 {
     if (nbytes > 8)
         axm_panic("CrcEngine::updateWord of ", nbytes, " bytes");
-    if (hwCrc32c_)
-        return accel::crc32cUpdateWord(state, word, nbytes);
     if (stateBytes_ != 0 && nbytes >= stateBytes_) {
         std::uint8_t bytes[8];
         for (unsigned i = 0; i < nbytes; ++i)
@@ -329,10 +259,6 @@ CrcEngine::compute(const void *data, std::size_t len) const
 const char *
 CrcEngine::bulkPathName() const
 {
-    if (hwCrc32c_)
-        return "sse4.2-crc32c";
-    if (clmul_)
-        return "pclmul";
     if (sliced())
         return "slice8";
     if (spec_.width >= 8 || spec_.reflected)

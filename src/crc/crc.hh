@@ -22,15 +22,12 @@
  * the serial evolution by construction; narrow or odd widths simply
  * fall back to the serial paths (DESIGN.md §7).
  *
- * On x86-64 hosts two hardware tiers sit above slice-by-8, selected at
- * run time by CPU detection (crc/cpu_features.hh) and disabled by
- * AXMEMO_NO_SIMD / --no-simd or a -DAXMEMO_FORCE_PORTABLE=ON build:
- * the SSE4.2 crc32 instruction for the one spec it implements
- * (reflected CRC-32C), and PCLMUL carry-less-multiply folding for any
- * non-reflected byte-multiple width (DESIGN.md §10). Both reduce
- * through the portable path, so bit-identity follows from the same
- * linearity argument; updatePortable() stays available as the
- * reference implementation for tests.
+ * Slice-by-8 is the only bulk path. The memo unit hashes with
+ * non-reflected CRC-32 (or CrcSpec::ofWidth) through updateWord(), one
+ * register at a time, and its simulated cost comes from CrcHwModel, so a
+ * faster host kernel could move nothing the paper measures (DESIGN.md
+ * §10). updateByteSerial() and updateByte() stay as the references the
+ * sliced paths are tested against.
  *
  * Streaming matters: the memoization unit accumulates inputs as they arrive
  * (property 1 in Section 3.1), so the engine exposes explicit state that the
@@ -71,8 +68,7 @@ struct CrcSpec
     static CrcSpec crc24();
     /** CRC-32 (IEEE 802.3 polynomial, non-reflected form). */
     static CrcSpec crc32();
-    /** CRC-32C (Castagnoli, poly 0x1edc6f41, reflected) — what the
-     * SSE4.2 crc32 instruction computes. */
+    /** CRC-32C (Castagnoli, poly 0x1edc6f41, reflected). */
     static CrcSpec crc32c();
     /** CRC-32/ISO-HDLC (the zlib/PNG CRC): IEEE polynomial, reflected. */
     static CrcSpec crc32Reflected();
@@ -87,14 +83,9 @@ struct CrcSpec
 class CrcEngine
 {
   public:
-    /**
-     * Build the 8-bit-parallel constant table for @p spec. When
-     * @p allowAccel (and the CPU supports it, and AXMEMO_NO_SIMD is not
-     * set), bulk updates may use the SSE4.2/PCLMUL kernels; pass false
-     * to force the portable paths regardless of host support.
-     */
-    explicit CrcEngine(const CrcSpec &spec = CrcSpec::crc32(),
-                       bool allowAccel = true);
+    /** Build the 8-bit-parallel constant table (and, for byte-multiple
+     * widths, the slice-by-8 tables) for @p spec. */
+    explicit CrcEngine(const CrcSpec &spec = CrcSpec::crc32());
 
     /** The algorithm parameters in use. */
     const CrcSpec &spec() const { return spec_; }
@@ -116,16 +107,10 @@ class CrcEngine
     /** Advance @p state by one byte using the table (8-bit parallel). */
     std::uint64_t updateByte(std::uint64_t state, std::uint8_t byte) const;
 
-    /** Advance @p state over @p len bytes at @p data through the fastest
-     * path active for this spec/host (see bulkPathName()). */
+    /** Advance @p state over @p len bytes at @p data through the bulk
+     * path for this spec (see bulkPathName()). */
     std::uint64_t update(std::uint64_t state, const void *data,
                          std::size_t len) const;
-
-    /** Advance @p state over @p len bytes using only the portable
-     * table/slice paths — the reference the SIMD kernels are verified
-     * against, and the reduction step of the PCLMUL path. */
-    std::uint64_t updatePortable(std::uint64_t state, const void *data,
-                                 std::size_t len) const;
 
     /** Advance @p state over the low @p nbytes bytes of @p word (LE). */
     std::uint64_t updateWord(std::uint64_t state, std::uint64_t word,
@@ -146,11 +131,8 @@ class CrcEngine
     /** True when the slice-by-8 bulk path is active for this width. */
     bool sliced() const { return stateBytes_ != 0; }
 
-    /** True when update()/updateWord() may use a SIMD kernel. */
-    bool hwAccelerated() const { return hwCrc32c_ || clmul_; }
-
-    /** Name of the bulk data path update() uses for large buffers:
-     * "sse4.2-crc32c", "pclmul", "slice8", "table" or "bit-serial". */
+    /** Name of the bulk data path update() uses: "slice8", "table" or
+     * "bit-serial". */
     const char *bulkPathName() const;
 
   private:
@@ -165,10 +147,6 @@ class CrcEngine
         return slice_[zeros * 256u + byte];
     }
 
-    /** x^n mod P, by clocking the bit-serial LFSR n times from state 1
-     * (PCLMUL folding constants). */
-    std::uint64_t xPowModPoly(unsigned n) const;
-
     CrcSpec spec_;
     std::uint64_t mask_;
     std::uint64_t topBit_;
@@ -179,13 +157,6 @@ class CrcEngine
     std::vector<std::uint64_t> slice_;
     /** width/8 when the slice path is active, else 0. */
     unsigned stateBytes_ = 0;
-    /** SSE4.2 path: spec is exactly reflected CRC-32C and the host has
-     * the crc32 instruction. */
-    bool hwCrc32c_ = false;
-    /** PCLMUL folding path for non-reflected byte-multiple widths. */
-    bool clmul_ = false;
-    /** x^{128,192,512,576} mod P when clmul_ is set. */
-    std::uint64_t foldK_[4] = {0, 0, 0, 0};
 };
 
 } // namespace axmemo

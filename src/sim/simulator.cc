@@ -6,18 +6,15 @@
 #include "common/expected.hh"
 #include "common/log.hh"
 #include "common/runtime_options.hh"
-#include "crc/cpu_features.hh"
 #include "isa/disasm.hh"
 #include "obs/trace.hh"
 
 /**
  * Computed-goto (labels-as-values) threaded dispatch is a GNU
- * extension; gate it on the compilers that provide it and leave
- * -DAXMEMO_FORCE_PORTABLE a single switch that strips every
- * non-standard fast path from the build (matching crc_accel.cc).
+ * extension; gate it on the compilers that provide it. runSwitch() is
+ * built everywhere, and AXMEMO_DISPATCH=switch selects it at run time.
  */
-#if (defined(__GNUC__) || defined(__clang__)) &&                             \
-    !defined(AXMEMO_FORCE_PORTABLE)
+#if defined(__GNUC__) || defined(__clang__)
 #define AXMEMO_HAVE_COMPUTED_GOTO 1
 #else
 #define AXMEMO_HAVE_COMPUTED_GOTO 0
@@ -255,15 +252,14 @@ Simulator::run()
     const bool threaded = false;
     if (opts.dispatch == "threaded")
         axm_warn("simulator: threaded dispatch not compiled in "
-                 "(portable build); falling back to switch");
+                 "(compiler lacks computed goto); falling back to switch");
 #endif
     if (trace::enabled(trace::Flag::Host)) {
         trace::setCycle(0);
         AXM_TRACE(Host, "host",
                   "dispatch=", threaded ? "threaded" : "switch",
                   " batch=", batched_ ? "on" : "off",
-                  " crc=", memoUnit_.engine().bulkPathName(),
-                  " cpu=", cpuSimdSummary());
+                  " crc=", memoUnit_.engine().bulkPathName());
     }
 
     const Cycle endCycle = threaded ? runThreaded() : runSwitch();

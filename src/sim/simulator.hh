@@ -20,11 +20,11 @@
  * Interpreter dispatch (DESIGN.md §10). The per-instruction handlers
  * live once in sim/interp_body.inc and are instantiated twice: as a
  * plain switch (the portable fallback) and as computed-goto threaded
- * dispatch where labels-as-values is available (GCC/Clang, unless
- * -DAXMEMO_FORCE_PORTABLE). AXMEMO_DISPATCH / --dispatch selects the
- * mode at run time; both produce bit-identical simulated state, stats,
- * and traces. Independently, macro-op batching (AXMEMO_NO_BATCH /
- * --no-batch to disable) folds the purely static per-instruction
+ * dispatch where labels-as-values is available (GCC/Clang).
+ * AXMEMO_DISPATCH / --dispatch selects the mode at run time; both
+ * produce bit-identical simulated state, stats, and traces.
+ * Independently, macro-op batching (AXMEMO_NO_BATCH / --no-batch to
+ * disable) folds the purely static per-instruction
  * counters — macro-instruction, µop, and per-class µop-event totals —
  * into per-basic-block sums (isa/blocks.hh) added once per block
  * entry, with the runaway guard and watchdog poll moving to block

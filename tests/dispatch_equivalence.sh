@@ -2,8 +2,8 @@
 # Cross-binary equivalence for the host-side speed levers (DESIGN.md
 # §10): a serial fig7 smoke run must produce byte-identical stdout,
 # reports, and traces whether the interpreter uses switch or threaded
-# dispatch, with or without basic-block batching, and with or without
-# the SIMD CRC kernels. The levers change wall-clock only; anything
+# dispatch and with or without basic-block batching. The levers change
+# wall-clock only; anything
 # they leak into simulated state, stats, or trace lines fails the diff
 # here.
 #
@@ -15,7 +15,8 @@
 # SimEquivalence gtest, which compares full SimStats (cycles, uops,
 # event counters) across the same lever matrix. The Host flag is also
 # excluded: its one line names the selected levers by design; the
-# Host-only runs at the end prove the levers were actually engaged.
+# Host-only runs at the end prove the levers were actually engaged and
+# that the memo unit hashes through the slice-by-8 CRC path.
 set -eu
 
 driver="$1"
@@ -30,26 +31,25 @@ export AXMEMO_JOBS=1
 simflags="Memo,Dram,Lut,Sweep,Prof"
 
 run() {
-    local name="$1" dispatch="$2" nobatch="$3" nosimd="$4" flags="$5"
+    local name="$1" dispatch="$2" nobatch="$3" flags="$4"
     mkdir -p "$workdir/$name"
     AXMEMO_DISPATCH="$dispatch" AXMEMO_NO_BATCH="$nobatch" \
-        AXMEMO_NO_SIMD="$nosimd" AXMEMO_SWEEP_DIR="$workdir/$name" \
+        AXMEMO_SWEEP_DIR="$workdir/$name" \
         "$driver" run fig7 --scale 0.0005 --no-timing \
         --debug-flags "$flags" --trace-out "$workdir/$name.trace" \
         >"$workdir/$name.stdout" 2>/dev/null
 }
 
-run reference switch 1 1 "$simflags" # every lever off: portable baseline
-run threaded threaded 1 1 "$simflags"
-run batched threaded 0 1 "$simflags"
-run simd threaded 0 0 "$simflags"
+run reference switch 1 "$simflags" # every lever off: portable baseline
+run threaded threaded 1 "$simflags"
+run batched threaded 0 "$simflags"
 
 test -s "$workdir/reference.trace" || {
     echo "trace is empty with simulated-state flags enabled" >&2
     exit 1
 }
 
-for name in threaded batched simd; do
+for name in threaded batched; do
     for artifact in stdout trace; do
         if ! cmp -s "$workdir/reference.$artifact" \
                 "$workdir/$name.$artifact"; then
@@ -72,13 +72,12 @@ for name in threaded batched simd; do
 done
 
 # Host-only runs prove the knobs actually selected different paths:
-# the Host trace line must name the requested levers. (In a portable
-# build `threaded` falls back to switch, so only batching is asserted
-# on the second line.)
-run host_ref switch 1 1 Host
-run host_fast threaded 0 0 Host
-grep -q "dispatch=switch batch=off" "$workdir/host_ref.trace"
-grep -q "batch=on" "$workdir/host_fast.trace"
+# the Host trace line must name the requested levers and the one bulk
+# CRC path.
+run host_ref switch 1 Host
+run host_fast threaded 0 Host
+grep -q "dispatch=switch batch=off crc=slice8" "$workdir/host_ref.trace"
+grep -q "dispatch=threaded batch=on crc=slice8" "$workdir/host_fast.trace"
 
 echo "dispatch equivalence passed: stdout, reports and traces" \
-    "byte-identical across switch/threaded x batch x simd"
+    "byte-identical across switch/threaded x batch"

@@ -532,10 +532,9 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
     }
 }
 
-TEST(RuntimeOptions, DispatchBatchSimdKnobsParse)
+TEST(RuntimeOptions, DispatchBatchKnobsParse)
 {
-    const char *const knobs[] = {"AXMEMO_DISPATCH", "AXMEMO_NO_BATCH",
-                                 "AXMEMO_NO_SIMD"};
+    const char *const knobs[] = {"AXMEMO_DISPATCH", "AXMEMO_NO_BATCH"};
     std::vector<std::string> saved; // empty == was unset (or empty)
     for (const char *knob : knobs) {
         const char *value = std::getenv(knob);
@@ -546,33 +545,26 @@ TEST(RuntimeOptions, DispatchBatchSimdKnobsParse)
     const RuntimeOptions defaults = RuntimeOptions::fromEnv();
     EXPECT_EQ(defaults.dispatch, "auto");
     EXPECT_TRUE(defaults.blockBatch);
-    EXPECT_TRUE(defaults.simd);
 
     setenv("AXMEMO_DISPATCH", "switch", 1);
     setenv("AXMEMO_NO_BATCH", "1", 1);
-    setenv("AXMEMO_NO_SIMD", "1", 1);
     const RuntimeOptions parsed = RuntimeOptions::fromEnv();
     EXPECT_EQ(parsed.dispatch, "switch");
     EXPECT_FALSE(parsed.blockBatch);
-    EXPECT_FALSE(parsed.simd);
 
     setenv("AXMEMO_DISPATCH", "threaded", 1);
     EXPECT_EQ(RuntimeOptions::fromEnv().dispatch, "threaded");
 
     // "0" is the explicit default spelling, not malformed.
     setenv("AXMEMO_NO_BATCH", "0", 1);
-    setenv("AXMEMO_NO_SIMD", "0", 1);
     EXPECT_TRUE(RuntimeOptions::fromEnv().blockBatch);
-    EXPECT_TRUE(RuntimeOptions::fromEnv().simd);
 
     // Malformed values warn and keep the defaults, never crash.
     setenv("AXMEMO_DISPATCH", "turbo", 1);
     setenv("AXMEMO_NO_BATCH", "yes", 1);
-    setenv("AXMEMO_NO_SIMD", "2", 1);
     const RuntimeOptions defensive = RuntimeOptions::fromEnv();
     EXPECT_EQ(defensive.dispatch, "auto");
     EXPECT_TRUE(defensive.blockBatch);
-    EXPECT_TRUE(defensive.simd);
 
     for (std::size_t i = 0; i < saved.size(); ++i) {
         if (saved[i].empty())
@@ -589,13 +581,12 @@ TEST(RuntimeOptions, DescribeKnobsMentionsEveryKnob)
          {"AXMEMO_JOBS", "AXMEMO_SCALE", "AXMEMO_FULL",
           "AXMEMO_SWEEP_DIR", "AXMEMO_DEBUG", "AXMEMO_RETRIES",
           "AXMEMO_JOB_TIMEOUT", "AXMEMO_TIMING",
-          "AXMEMO_FAULT_INJECT", "AXMEMO_DISPATCH", "AXMEMO_NO_BATCH",
-          "AXMEMO_NO_SIMD"})
+          "AXMEMO_FAULT_INJECT", "AXMEMO_DISPATCH", "AXMEMO_NO_BATCH"})
         EXPECT_NE(table.find(knob), std::string::npos) << knob;
     for (const char *flag :
          {"--jobs", "--scale", "--full", "--out", "--debug-flags",
           "--retries", "--job-timeout", "--no-timing",
-          "--fault-inject", "--dispatch", "--no-batch", "--no-simd"})
+          "--fault-inject", "--dispatch", "--no-batch"})
         EXPECT_NE(table.find(flag), std::string::npos) << flag;
 }
 

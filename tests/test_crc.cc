@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "common/rng.hh"
-#include "crc/cpu_features.hh"
 #include "crc/crc.hh"
 #include "crc/hw_model.hh"
 
@@ -234,32 +233,73 @@ TEST(Crc, SlicedOnlyForByteMultipleWidths)
     }
 }
 
-TEST(Crc, SliceBulkMatchesBitSerialAllWidths)
+/** Advance @p state over @p len bytes one bit-serial byte step at a
+ * time: the LFSR reference every bulk path is checked against. */
+std::uint64_t
+bitSerialUpdate(const CrcEngine &engine, std::uint64_t state,
+                const std::uint8_t *data, std::size_t len)
 {
-    // The slice-by-8 bulk path must be bit-identical to the bit-serial
-    // register model for every width, over random data and random chunk
-    // boundaries (streaming must not observe where chunks split).
-    for (unsigned width = 1; width <= 64; ++width) {
-        const CrcEngine engine(CrcSpec::ofWidth(width));
-        Rng rng(width * 1000 + 17);
-        std::vector<std::uint8_t> data(257);
-        for (auto &byte : data)
-            byte = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t i = 0; i < len; ++i)
+        state = engine.updateByteSerial(state, data[i]);
+    return state;
+}
 
-        std::uint64_t serial = engine.initial();
-        for (const std::uint8_t byte : data)
-            serial = engine.updateByteSerial(serial, byte);
+/**
+ * The bulk update() must be bit-identical to the bit-serial register
+ * model over random data: one-shot from random states at lengths that
+ * cross every internal threshold (word, slice block, 8-byte loop), and
+ * streamed in random chunks of up to 32 and up to 400 bytes (streaming
+ * must not observe where chunks split).
+ */
+void
+expectBulkMatchesBitSerial(const CrcEngine &engine, unsigned seed)
+{
+    const unsigned width = engine.spec().width;
+    const std::uint64_t mask =
+        width == 64 ? ~0ull : (1ull << width) - 1;
+    Rng rng(seed);
+    std::vector<std::uint8_t> data(1500);
+    for (auto &byte : data)
+        byte = static_cast<std::uint8_t>(rng.below(256));
 
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7},
+          std::size_t{8}, std::size_t{15}, std::size_t{16},
+          std::size_t{63}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{511}, std::size_t{512},
+          std::size_t{767}, std::size_t{1024}, std::size_t{1497}}) {
+        const std::uint64_t state = rng.next() & mask;
+        ASSERT_EQ(engine.update(state, data.data(), len),
+                  bitSerialUpdate(engine, state, data.data(), len))
+            << "width " << width << " len " << len;
+    }
+
+    struct Streaming
+    {
+        std::size_t total;
+        unsigned maxChunk;
+    };
+    for (const Streaming run : {Streaming{257, 32}, Streaming{1500, 400}}) {
+        const auto [total, maxChunk] = run;
         std::uint64_t bulk = engine.initial();
         std::size_t pos = 0;
-        while (pos < data.size()) {
+        while (pos < total) {
             const std::size_t chunk = std::min<std::size_t>(
-                1 + rng.below(32), data.size() - pos);
+                1 + rng.below(maxChunk), total - pos);
             bulk = engine.update(bulk, data.data() + pos, chunk);
             pos += chunk;
         }
-        ASSERT_EQ(bulk, serial) << "width " << width;
+        ASSERT_EQ(bulk, bitSerialUpdate(engine, engine.initial(),
+                                        data.data(), total))
+            << "width " << width << " streamed " << total << " bytes";
     }
+}
+
+TEST(Crc, SliceBulkMatchesBitSerialAllWidths)
+{
+    for (unsigned width = 1; width <= 64; ++width)
+        expectBulkMatchesBitSerial(CrcEngine(CrcSpec::ofWidth(width)),
+                                   width * 1000 + 17);
 }
 
 TEST(Crc, UpdateWordMatchesBitSerialAllWidths)
@@ -286,8 +326,7 @@ TEST(Crc, UpdateWordMatchesBitSerialAllWidths)
 TEST(Crc, Crc32cCheckValue)
 {
     // CRC-32C (Castagnoli, refin/refout true): check value 0xE3069283.
-    // Forced portable so the KAT pins the table/slice math itself.
-    const CrcEngine engine(CrcSpec::crc32c(), /*allowAccel=*/false);
+    const CrcEngine engine(CrcSpec::crc32c());
     EXPECT_EQ(engine.compute(kCheck, 9), 0xe3069283ull);
 }
 
@@ -295,8 +334,7 @@ TEST(Crc, Crc32ReflectedCheckValue)
 {
     // The zlib/PNG CRC-32 check value, now computed natively instead of
     // through the bit-reversal isomorphism above.
-    const CrcEngine engine(CrcSpec::crc32Reflected(),
-                           /*allowAccel=*/false);
+    const CrcEngine engine(CrcSpec::crc32Reflected());
     EXPECT_EQ(engine.compute(kCheck, 9), 0xcbf43926ull);
 }
 
@@ -311,7 +349,7 @@ reflectedOfWidth(unsigned width)
 TEST(Crc, ReflectedSerialEqualsTableDrivenAllWidths)
 {
     for (unsigned width = 1; width <= 64; ++width) {
-        const CrcEngine engine(reflectedOfWidth(width), false);
+        const CrcEngine engine(reflectedOfWidth(width));
         Rng rng(width * 31 + 2);
         std::uint64_t serial = engine.initial();
         std::uint64_t table = engine.initial();
@@ -327,35 +365,17 @@ TEST(Crc, ReflectedSerialEqualsTableDrivenAllWidths)
 
 TEST(Crc, ReflectedSliceBulkMatchesBitSerialAllWidths)
 {
-    for (unsigned width = 1; width <= 64; ++width) {
-        const CrcEngine engine(reflectedOfWidth(width), false);
-        Rng rng(width * 1000 + 23);
-        std::vector<std::uint8_t> data(257);
-        for (auto &byte : data)
-            byte = static_cast<std::uint8_t>(rng.below(256));
-
-        std::uint64_t serial = engine.initial();
-        for (const std::uint8_t byte : data)
-            serial = engine.updateByteSerial(serial, byte);
-
-        std::uint64_t bulk = engine.initial();
-        std::size_t pos = 0;
-        while (pos < data.size()) {
-            const std::size_t chunk = std::min<std::size_t>(
-                1 + rng.below(32), data.size() - pos);
-            bulk = engine.update(bulk, data.data() + pos, chunk);
-            pos += chunk;
-        }
-        ASSERT_EQ(bulk, serial) << "width " << width;
-    }
+    for (unsigned width = 1; width <= 64; ++width)
+        expectBulkMatchesBitSerial(CrcEngine(reflectedOfWidth(width)),
+                                   width * 1000 + 23);
 }
 
 TEST(Crc, ReflectedMatchesBitReversalIsomorphism)
 {
     // The native reflected engine must agree with computing the same
     // CRC through the non-reflected engine on bit-reversed bytes.
-    const CrcEngine reflected(CrcSpec::crc32Reflected(), false);
-    const CrcEngine normal(CrcSpec::crc32(), false);
+    const CrcEngine reflected(CrcSpec::crc32Reflected());
+    const CrcEngine normal(CrcSpec::crc32());
     Rng rng(99);
     std::vector<std::uint8_t> data(64);
     for (auto &byte : data)
@@ -369,114 +389,6 @@ TEST(Crc, ReflectedMatchesBitReversalIsomorphism)
     }
     EXPECT_EQ(static_cast<std::uint32_t>(direct),
               bitrev32(static_cast<std::uint32_t>(mirror)));
-}
-
-// ------------------------------------------------- SIMD kernel identity
-
-/** Random buffer/chunking identity between an engine's fast update()
- * and the portable reference, over many lengths crossing every
- * internal threshold (word, slice, PCLMUL fold). */
-void
-expectBulkMatchesPortable(const CrcEngine &engine, unsigned seed)
-{
-    const CrcEngine portable(engine.spec(), /*allowAccel=*/false);
-    Rng rng(seed);
-    std::vector<std::uint8_t> data(1500);
-    for (auto &byte : data)
-        byte = static_cast<std::uint8_t>(rng.below(256));
-
-    for (const std::size_t len :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7},
-          std::size_t{8}, std::size_t{15}, std::size_t{16},
-          std::size_t{63}, std::size_t{255}, std::size_t{256},
-          std::size_t{257}, std::size_t{511}, std::size_t{512},
-          std::size_t{767}, std::size_t{1024}, std::size_t{1497}}) {
-        const std::uint64_t state =
-            rng.next() & (engine.spec().width == 64
-                              ? ~0ull
-                              : (1ull << engine.spec().width) - 1);
-        ASSERT_EQ(engine.update(state, data.data(), len),
-                  engine.updatePortable(state, data.data(), len))
-            << "len " << len;
-        ASSERT_EQ(engine.update(state, data.data(), len),
-                  portable.update(state, data.data(), len))
-            << "len " << len;
-    }
-
-    // Streaming with random chunk boundaries must agree too.
-    std::uint64_t fast = engine.initial();
-    std::uint64_t slow = engine.initial();
-    std::size_t pos = 0;
-    while (pos < data.size()) {
-        const std::size_t chunk = std::min<std::size_t>(
-            1 + rng.below(400), data.size() - pos);
-        fast = engine.update(fast, data.data() + pos, chunk);
-        slow = portable.update(slow, data.data() + pos, chunk);
-        pos += chunk;
-    }
-    ASSERT_EQ(fast, slow);
-}
-
-TEST(CrcAccel, Sse42Crc32cMatchesPortable)
-{
-    const CrcEngine engine(CrcSpec::crc32c());
-    if (!engine.hwAccelerated())
-        GTEST_SKIP() << "SSE4.2 crc32 unavailable (host: "
-                     << cpuSimdSummary() << ")";
-    EXPECT_STREQ(engine.bulkPathName(), "sse4.2-crc32c");
-    expectBulkMatchesPortable(engine, 1234);
-
-    // The word feed (the memo unit's hot entry point) as well.
-    const CrcEngine portable(CrcSpec::crc32c(), false);
-    Rng rng(77);
-    for (int i = 0; i < 200; ++i) {
-        const std::uint64_t word = rng.next();
-        const std::uint64_t state = rng.next() & 0xffffffffull;
-        const unsigned nbytes = 1 + rng.below(8);
-        ASSERT_EQ(engine.updateWord(state, word, nbytes),
-                  portable.updateWord(state, word, nbytes))
-            << "nbytes " << nbytes;
-    }
-}
-
-TEST(CrcAccel, PclmulMatchesPortableAllByteWidths)
-{
-    const CrcEngine probe(CrcSpec::crc32());
-    if (!probe.hwAccelerated())
-        GTEST_SKIP() << "PCLMUL unavailable (host: "
-                     << cpuSimdSummary() << ")";
-    for (unsigned width = 8; width <= 64; width += 8) {
-        const CrcEngine engine(CrcSpec::ofWidth(width));
-        ASSERT_TRUE(engine.hwAccelerated()) << "width " << width;
-        EXPECT_STREQ(engine.bulkPathName(), "pclmul");
-        expectBulkMatchesPortable(engine, width * 131 + 7);
-    }
-}
-
-TEST(CrcAccel, FastPathIdentityAllWidthsBothOrders)
-{
-    // Whatever path update() resolves to on this host — SIMD, slice,
-    // table or serial — it must be bit-identical to the portable
-    // reference for every width in both bit orders. On hosts without
-    // the SIMD extensions this degenerates to portable-vs-portable,
-    // which is intentional: the test suite never fails for lack of
-    // hardware (the dedicated tests above skip instead).
-    for (unsigned width = 1; width <= 64; ++width) {
-        CrcSpec spec = CrcSpec::ofWidth(width);
-        for (const bool reflected : {false, true}) {
-            spec.reflected = reflected;
-            const CrcEngine engine(spec);
-            expectBulkMatchesPortable(engine,
-                                      width * 17 + (reflected ? 1 : 0));
-        }
-    }
-}
-
-TEST(CrcAccel, DisabledByConstructorFlag)
-{
-    const CrcEngine engine(CrcSpec::crc32c(), /*allowAccel=*/false);
-    EXPECT_FALSE(engine.hwAccelerated());
-    EXPECT_STREQ(engine.bulkPathName(), "slice8");
 }
 
 // ----------------------------------------------------------- hw model

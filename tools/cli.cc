@@ -113,11 +113,6 @@ flagTable()
              a.runtime.blockBatch = false;
              return true;
          }},
-        {"--no-simd", nullptr, "disable the SIMD CRC kernels",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.simd = false;
-             return true;
-         }},
         {"--shard-dir", "<dir>", "shared work-queue directory",
          +[](CommonArgs &a, const char *v, std::string *) {
              a.runtime.shardDir = v;

@@ -2,18 +2,17 @@
  * @file
  * Implementation of the `axmemo perf` subcommand (tools/perf.hh).
  *
- * Each microbenchmark pits a data-path fast path against the reference
- * implementation it replaced, inside the same binary, on the same input
- * stream — so the reported speedups measure the optimization itself and
- * travel with the repo instead of depending on a checked-out old commit.
- * The seed SimMemory (per-byte map probes, deep-copy clone) is
- * re-implemented here as LegacySimMemory for exactly that purpose.
+ * Each microbenchmark times one data path on a fixed input stream, and
+ * where the repo keeps a reference implementation alongside it (the CRC
+ * byte table and bit-serial LFSR, the LUT/cache way scan) times that
+ * too, inside the same binary, so the ratios travel with the repo.
+ * The fig7 rows then re-run the sweep with each host-side lever
+ * toggled to attribute the end-to-end rate.
  */
 
 #include "tools/perf.hh"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +27,6 @@
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -83,73 +81,6 @@ bestSeconds(Fn &&fn)
 
 /** Defeat dead-code elimination without fencing the loop. */
 volatile std::uint64_t perfSink;
-
-/**
- * The seed SimMemory data structure (unordered_map probe per *byte*,
- * deep-copy clone), re-implemented as the reference model the new fast
- * paths are measured against. The microbench runs the same access
- * stream through this and the real SimMemory.
- */
-class LegacySimMemory
-{
-  public:
-    static constexpr unsigned pageShift = SimMemory::pageShift;
-    static constexpr std::size_t pageSize = SimMemory::pageSize;
-
-    std::uint64_t
-    read(Addr addr, unsigned nbytes) const
-    {
-        std::uint64_t value = 0;
-        for (unsigned i = 0; i < nbytes; ++i) {
-            const Addr a = addr + i;
-            const std::uint8_t *page = pageFor(a, false);
-            const std::uint8_t byte = page ? page[a & (pageSize - 1)] : 0;
-            value |= static_cast<std::uint64_t>(byte) << (8 * i);
-        }
-        return value;
-    }
-
-    void
-    write(Addr addr, std::uint64_t value, unsigned nbytes)
-    {
-        for (unsigned i = 0; i < nbytes; ++i) {
-            const Addr a = addr + i;
-            std::uint8_t *page = pageFor(a, true);
-            page[a & (pageSize - 1)] =
-                static_cast<std::uint8_t>(value >> (8 * i));
-        }
-    }
-
-    LegacySimMemory
-    clone() const
-    {
-        LegacySimMemory copy;
-        copy.pages_.reserve(pages_.size());
-        for (const auto &[pageNum, page] : pages_)
-            copy.pages_.emplace(pageNum, std::make_unique<Page>(*page));
-        return copy;
-    }
-
-  private:
-    using Page = std::array<std::uint8_t, pageSize>;
-
-    std::uint8_t *
-    pageFor(Addr addr, bool createIfMissing) const
-    {
-        const std::uint64_t pageNum = addr >> pageShift;
-        auto it = pages_.find(pageNum);
-        if (it == pages_.end()) {
-            if (!createIfMissing)
-                return nullptr;
-            auto page = std::make_unique<Page>();
-            page->fill(0);
-            it = pages_.emplace(pageNum, std::move(page)).first;
-        }
-        return it->second->data();
-    }
-
-    mutable std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
-};
 
 /** Deterministic address stream with simulator-like locality: mostly
  * sequential 8-byte strides with occasional jumps, within @p span. */
@@ -252,28 +183,23 @@ benchSimMemory(std::size_t iters)
         perfSink = acc;
     };
 
-    LegacySimMemory legacy;
     SimMemory fast;
     SimMemory noTlb;
     noTlb.setTranslationCacheEnabled(false);
     // Touch the whole span once so the steady state has no page faults.
     for (Addr a = 0x10000; a < 0x10000 + span; a += SimMemory::pageSize) {
-        legacy.write(a, 1, 1);
         fast.write(a, 1, 1);
         noTlb.write(a, 1, 1);
     }
 
-    const double legacySec = bestSeconds([&] { mixedOps(legacy); });
     const double fastSec = bestSeconds([&] { mixedOps(fast); });
     const double noTlbSec = bestSeconds([&] { mixedOps(noTlb); });
 
     const double perOp = 1e9 / static_cast<double>(iters);
     JsonObj o;
     o.field("ops", static_cast<std::uint64_t>(iters));
-    o.field("legacy_ns_per_op", legacySec * perOp);
     o.field("ns_per_op", fastSec * perOp);
     o.field("no_tlb_ns_per_op", noTlbSec * perOp);
-    o.field("speedup_vs_legacy", legacySec / fastSec);
     return o;
 }
 
@@ -281,26 +207,16 @@ JsonObj
 benchClone(std::size_t iters)
 {
     constexpr std::uint64_t bytes = 8ull << 20; // 8 MB prepared dataset
-    LegacySimMemory legacy;
-    SimMemory fast;
+    SimMemory source;
     Rng rng(99);
-    for (Addr a = 0x10000; a < 0x10000 + bytes; a += 8) {
-        const std::uint64_t v = rng.next();
-        legacy.write(a, v, 8);
-        fast.write(a, v, 8);
-    }
+    for (Addr a = 0x10000; a < 0x10000 + bytes; a += 8)
+        source.write(a, rng.next(), 8);
 
     // Each clone dirties one page — the sweep-engine pattern: most of a
     // prepared dataset is read-only input the cloned run never touches.
-    const double deepSec = bestSeconds([&] {
-        for (std::size_t i = 0; i < iters; ++i) {
-            LegacySimMemory copy = legacy.clone();
-            copy.write(0x10000 + (i % 8) * SimMemory::pageSize, i, 8);
-        }
-    });
     const double cowSec = bestSeconds([&] {
         for (std::size_t i = 0; i < iters; ++i) {
-            SimMemory copy = fast.clone();
+            SimMemory copy = source.clone();
             copy.write(0x10000 + (i % 8) * SimMemory::pageSize, i, 8);
         }
     });
@@ -308,9 +224,7 @@ benchClone(std::size_t iters)
     const double perClone = 1e9 / static_cast<double>(iters);
     JsonObj o;
     o.field("dataset_bytes", static_cast<std::uint64_t>(bytes));
-    o.field("deep_copy_ns", deepSec * perClone);
     o.field("cow_clone_ns", cowSec * perClone);
-    o.field("speedup", deepSec / cowSec);
     return o;
 }
 
@@ -626,7 +540,6 @@ struct Fig7Levers
 {
     const char *dispatch = "auto"; // auto | threaded | switch
     bool blockBatch = true;
-    bool simd = true;
 };
 
 JsonObj
@@ -639,7 +552,6 @@ benchFig7(double scale, const Fig7Levers &levers = {},
     unsetenv("AXMEMO_FULL");
     setenv("AXMEMO_DISPATCH", levers.dispatch, 1);
     setenv("AXMEMO_NO_BATCH", levers.blockBatch ? "0" : "1", 1);
-    setenv("AXMEMO_NO_SIMD", levers.simd ? "0" : "1", 1);
     // The driver froze RuntimeOptions at startup; mirror the scale and
     // lever changes into the frozen copy so benchScale() consumers and
     // the simulator's knob reads see them.
@@ -650,7 +562,6 @@ benchFig7(double scale, const Fig7Levers &levers = {},
         updated.full = false;
         updated.dispatch = levers.dispatch;
         updated.blockBatch = levers.blockBatch;
-        updated.simd = levers.simd;
         RuntimeOptions::setGlobal(updated);
     }
 
@@ -903,7 +814,7 @@ printDeltaVsPrevious(const std::string &path,
     static constexpr Row rows[] = {
         {"simmemory", "ns_per_op", false},
         {"clone", "cow_clone_ns", false},
-        {"crc32", "slice8_ns_per_byte", false},
+        {"crc32", "word_feed_ns_per_byte", false},
         {"lut", "mru_ns_per_lookup", false},
         {"cache", "mru_ns_per_access", false},
         {"cache", "speedup", true},
@@ -1011,39 +922,33 @@ runPerf(const PerfOptions &options)
 
     // Per-lever fig7 rows: the same sweep re-run with each host-side
     // speed lever toggled, so the entry attributes the end-to-end gain
-    // to dispatch, block batching, and hardware CRC individually. All
-    // four produce bit-identical simulated results; the switch/no-batch
-    // row is the speedup baseline. The default "fig7" row above stays
-    // the scoreboard metric.
+    // to dispatch and block batching individually. All three produce
+    // bit-identical simulated results; the switch/no-batch row is the
+    // speedup baseline. The default "fig7" row above stays the
+    // scoreboard metric.
     double leverBase = 0.0;
     section("fig7_switch_nobatch", [&] {
-        return benchFig7(fig7Scale, {"switch", false, true}, 0.0,
-                         &leverBase);
+        return benchFig7(fig7Scale, {"switch", false}, 0.0, &leverBase);
     });
     section("fig7_threaded_nobatch", [&] {
-        return benchFig7(fig7Scale, {"threaded", false, true}, leverBase);
+        return benchFig7(fig7Scale, {"threaded", false}, leverBase);
     });
     section("fig7_threaded_batch", [&] {
-        return benchFig7(fig7Scale, {"threaded", true, true}, leverBase);
-    });
-    section("fig7_portable_crc", [&] {
-        return benchFig7(fig7Scale, {"threaded", true, false}, leverBase);
+        return benchFig7(fig7Scale, {"threaded", true}, leverBase);
     });
     // Put the lever knobs back so anything after us sees the defaults.
     unsetenv("AXMEMO_DISPATCH");
     unsetenv("AXMEMO_NO_BATCH");
-    unsetenv("AXMEMO_NO_SIMD");
     if (RuntimeOptions::globalFrozen()) {
         RuntimeOptions restored = RuntimeOptions::global();
         restored.dispatch = "auto";
         restored.blockBatch = true;
-        restored.simd = true;
         RuntimeOptions::setGlobal(restored);
     }
 
     // Multi-process scaling of the shard queue over the dse smoke grid.
     // Runs after the lever knobs are restored so the workers inherit
-    // default dispatch/batch/SIMD settings. Full mode floors the scale
+    // default dispatch/batch settings. Full mode floors the scale
     // at 0.05: below that the smoke jobs are so short that per-process
     // setup and claim traffic drown whatever scaling exists.
     const double dseScale =
