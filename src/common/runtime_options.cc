@@ -1,5 +1,7 @@
 #include "common/runtime_options.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,54 +23,75 @@ envOrNull(const char *name)
     return value && *value ? value : nullptr;
 }
 
-/** Parse a positive double; warn and return false on malformed text. */
+/** Store @p parsed in @p out, or warn and keep the default. */
+template <typename T, typename U>
 bool
-parsePositiveDouble(const char *name, const char *text, double &out)
+take(const Expected<T> &parsed, U &out)
 {
-    char *end = nullptr;
-    const double parsed = std::strtod(text, &end);
-    if (end != text && *end == '\0' && parsed > 0.0 &&
-        std::isfinite(parsed)) {
-        out = parsed;
-        return true;
+    if (!parsed.ok()) {
+        axm_warn("ignoring ", parsed.error().message);
+        return false;
     }
-    axm_warn("ignoring malformed ", name, "='", text,
-             "' (want a positive number)");
-    return false;
+    out = parsed.value();
+    return true;
 }
 
-/** Parse an unsigned integer in [0, max]; warn on malformed text. */
-bool
-parseUnsigned(const char *name, const char *text, unsigned long max,
-              unsigned &out)
+Error
+malformed(const std::string &name, const char *text, const std::string &want)
 {
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(text, &end, 10);
-    if (end != text && *end == '\0' && parsed <= max) {
-        out = static_cast<unsigned>(parsed);
-        return true;
-    }
-    axm_warn("ignoring malformed ", name, "='", text,
-             "' (want an integer in [0, ", max, "])");
-    return false;
-}
-
-/** Parse an unsigned 64-bit integer; warn on malformed text. */
-bool
-parseU64(const char *name, const char *text, std::uint64_t &out)
-{
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (end != text && *end == '\0' && text[0] != '-') {
-        out = parsed;
-        return true;
-    }
-    axm_warn("ignoring malformed ", name, "='", text,
-             "' (want a non-negative integer)");
-    return false;
+    return Error{ErrorCode::Config, "options",
+                 "malformed " + name + "='" + text + "' (want " + want +
+                     ")"};
 }
 
 } // namespace
+
+Expected<unsigned>
+parseUnsigned(const std::string &name, const char *text, unsigned long max,
+              unsigned long min)
+{
+    const Expected<std::uint64_t> parsed = parseU64(name, text);
+    if (parsed.ok() && parsed.value() >= min && parsed.value() <= max)
+        return static_cast<unsigned>(parsed.value());
+    return malformed(name, text,
+                     "an integer in [" + std::to_string(min) + ", " +
+                         std::to_string(max) + "]");
+}
+
+Expected<std::uint64_t>
+parseU64(const std::string &name, const char *text)
+{
+    if (std::isdigit(static_cast<unsigned char>(text[0]))) {
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long parsed = std::strtoull(text, &end, 10);
+        if (*end == '\0' && errno != ERANGE)
+            return static_cast<std::uint64_t>(parsed);
+    }
+    return malformed(name, text, "a non-negative integer");
+}
+
+Expected<double>
+parseNonNegativeDouble(const std::string &name, const char *text)
+{
+    if (std::isdigit(static_cast<unsigned char>(text[0])) ||
+        text[0] == '.') {
+        char *end = nullptr;
+        const double parsed = std::strtod(text, &end);
+        if (end != text && *end == '\0' && std::isfinite(parsed))
+            return parsed;
+    }
+    return malformed(name, text, "a non-negative number");
+}
+
+Expected<double>
+parsePositiveDouble(const std::string &name, const char *text)
+{
+    const Expected<double> parsed = parseNonNegativeDouble(name, text);
+    if (parsed.ok() && parsed.value() > 0.0)
+        return parsed.value();
+    return malformed(name, text, "a positive number");
+}
 
 RuntimeOptions
 RuntimeOptions::fromEnv()
@@ -76,7 +99,7 @@ RuntimeOptions::fromEnv()
     RuntimeOptions options;
 
     if (const char *env = envOrNull("AXMEMO_JOBS"))
-        parseUnsigned("AXMEMO_JOBS", env, 1024, options.jobs);
+        take(parseUnsigned("AXMEMO_JOBS", env, 1024), options.jobs);
 
     // AXMEMO_FULL must be exactly "1" ("10", "1x", ... are mistakes,
     // not requests for full scale) and anything but "", "0", "1" is
@@ -90,7 +113,7 @@ RuntimeOptions::fromEnv()
     }
     if (const char *env = envOrNull("AXMEMO_SCALE"))
         options.scaleSet =
-            parsePositiveDouble("AXMEMO_SCALE", env, options.scale);
+            take(parsePositiveDouble("AXMEMO_SCALE", env), options.scale);
 
     if (const char *env = envOrNull("AXMEMO_DEBUG"))
         options.debugFlags = env;
@@ -98,10 +121,10 @@ RuntimeOptions::fromEnv()
         options.outDir = env;
 
     if (const char *env = envOrNull("AXMEMO_RETRIES"))
-        parseUnsigned("AXMEMO_RETRIES", env, 64, options.retries);
+        take(parseUnsigned("AXMEMO_RETRIES", env, 64), options.retries);
     if (const char *env = envOrNull("AXMEMO_JOB_TIMEOUT"))
-        parsePositiveDouble("AXMEMO_JOB_TIMEOUT", env,
-                            options.jobTimeoutSeconds);
+        take(parseNonNegativeDouble("AXMEMO_JOB_TIMEOUT", env),
+             options.jobTimeoutSeconds);
 
     if (const char *env = std::getenv("AXMEMO_TIMING");
         env && std::strcmp(env, "0") == 0)
@@ -131,7 +154,8 @@ RuntimeOptions::fromEnv()
     if (const char *env = envOrNull("AXMEMO_WORKER_ID"))
         options.workerId = env;
     if (const char *env = envOrNull("AXMEMO_LEASE"))
-        parsePositiveDouble("AXMEMO_LEASE", env, options.leaseSeconds);
+        take(parsePositiveDouble("AXMEMO_LEASE", env),
+             options.leaseSeconds);
     if (const char *env = envOrNull("AXMEMO_ISOLATE")) {
         if (std::strcmp(env, "1") == 0)
             options.isolate = true;
@@ -152,29 +176,23 @@ RuntimeOptions::fromEnv()
             axm_warn("ignoring malformed AXMEMO_SERVE_POLICY='", env,
                      "' (want shared or partitioned)");
     }
-    if (const char *env = envOrNull("AXMEMO_SERVE_TENANTS")) {
-        unsigned tenants = 0;
-        if (parseUnsigned("AXMEMO_SERVE_TENANTS", env, 4096, tenants) &&
-            tenants > 0)
-            options.serveTenants = tenants;
-    }
+    if (const char *env = envOrNull("AXMEMO_SERVE_TENANTS"))
+        take(parseUnsigned("AXMEMO_SERVE_TENANTS", env, 4096, 1),
+             options.serveTenants);
     if (const char *env = envOrNull("AXMEMO_SERVE_QUOTA"))
-        parseU64("AXMEMO_SERVE_QUOTA", env, options.serveQuota);
+        take(parseU64("AXMEMO_SERVE_QUOTA", env), options.serveQuota);
     if (const char *env = envOrNull("AXMEMO_SERVE_LUT")) {
         std::uint64_t bytes = 0;
-        if (parseU64("AXMEMO_SERVE_LUT", env, bytes) && bytes > 0)
+        if (take(parseU64("AXMEMO_SERVE_LUT", env), bytes) && bytes > 0)
             options.serveLutBytes = bytes;
     }
-    if (const char *env = envOrNull("AXMEMO_SERVE_QUEUE")) {
-        unsigned depth = 0;
-        if (parseUnsigned("AXMEMO_SERVE_QUEUE", env, 1 << 20, depth) &&
-            depth > 0)
-            options.serveQueue = depth;
-    }
+    if (const char *env = envOrNull("AXMEMO_SERVE_QUEUE"))
+        take(parseUnsigned("AXMEMO_SERVE_QUEUE", env, 1 << 20, 1),
+             options.serveQueue);
     if (const char *env = envOrNull("AXMEMO_TRACE_SEED"))
-        parseU64("AXMEMO_TRACE_SEED", env, options.traceSeed);
+        take(parseU64("AXMEMO_TRACE_SEED", env), options.traceSeed);
     if (const char *env = envOrNull("AXMEMO_TRACE_REQUESTS"))
-        parseU64("AXMEMO_TRACE_REQUESTS", env, options.traceRequests);
+        take(parseU64("AXMEMO_TRACE_REQUESTS", env), options.traceRequests);
 
     return options;
 }

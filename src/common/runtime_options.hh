@@ -48,7 +48,27 @@
 #include <cstdint>
 #include <string>
 
+#include "common/expected.hh"
+
 namespace axmemo {
+
+/**
+ * Strict whole-string number parsers shared by fromEnv() and the
+ * driver's command-line flags, so a knob accepts the same text however
+ * it is set. They reject empty text, signs, leading blanks, trailing
+ * junk and out-of-range values with an ErrorCode::Config error whose
+ * message names @p name ("malformed --retries='-1' (want ...)").
+ */
+Expected<unsigned> parseUnsigned(const std::string &name, const char *text,
+                                 unsigned long max, unsigned long min = 0);
+/** Any value that fits in 64 bits; see parseUnsigned(). */
+Expected<std::uint64_t> parseU64(const std::string &name, const char *text);
+/** A finite number >= 0 (0 turns a watchdog off); see parseUnsigned(). */
+Expected<double> parseNonNegativeDouble(const std::string &name,
+                                        const char *text);
+/** A finite number > 0; see parseUnsigned(). */
+Expected<double> parsePositiveDouble(const std::string &name,
+                                     const char *text);
 
 /** Every host-side runtime knob; see file comment. */
 struct RuntimeOptions
@@ -121,7 +141,8 @@ struct RuntimeOptions
     std::uint64_t traceRequests = 0;
 
     /** Parse every knob from the environment (defensive: malformed
-     * values warn and keep the default, same as the old parsers). */
+     * values warn and keep the default; the driver's flags reject the
+     * same text outright). */
     static RuntimeOptions fromEnv();
 
     /**

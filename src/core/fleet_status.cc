@@ -143,17 +143,6 @@ readFleetStatus(const std::string &dir, double leaseSeconds)
     FleetStatus fleet;
     fleet.dir = dir;
     fleet.leaseSeconds = leaseSeconds > 0 ? leaseSeconds : 30.0;
-
-    // A run's --out directory is accepted directly: descend into the
-    // default --workers layout when the argument is not itself a
-    // shard directory.
-    const std::string claims = joinPath(fleet.dir, "claims");
-    if (fileAgeSeconds(claims) < 0.0) {
-        const std::string nested = joinPath(fleet.dir, "shards");
-        if (fileAgeSeconds(joinPath(nested, "claims")) >= 0.0 ||
-            !listNames(nested, "metrics.", ".jsonl").empty())
-            fleet.dir = nested;
-    }
     const std::string claimsDir = joinPath(fleet.dir, "claims");
 
     // Workers surface through their metrics snapshots first (written

@@ -84,11 +84,9 @@ struct FleetStatus
 const char *workerStateName(WorkerStatus::State state);
 
 /**
- * Read @p dir as a shard directory. When @p dir has no claims/ but
- * contains a shards/ subdirectory (the default --workers layout under
- * a run's --out), that subdirectory is read instead. A missing or
- * empty directory yields an empty fleet, not an error — status must
- * be pollable before the first worker arrives.
+ * Read @p dir as a shard directory. A missing or empty directory
+ * yields an empty fleet, not an error — status must be pollable before
+ * the first worker arrives.
  */
 FleetStatus readFleetStatus(const std::string &dir, double leaseSeconds);
 

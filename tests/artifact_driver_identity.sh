@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Golden cross-check for the artifact refactor: the unified driver's
-# `axmemo run fig9` stdout must be byte-identical to the legacy
-# fig9_hitrate harness, serial and parallel. Any drift in banner,
-# table layout or number formatting fails the diff.
+# Golden stdout check for the artifact driver: `axmemo run fig9`
+# (serial and parallel) and `axmemo run atm_comparison` must be
+# byte-identical to the committed goldens in tests/golden/, recorded at
+# AXMEMO_SCALE=0.02 from the per-figure harness binaries the driver
+# replaced. Any drift in banner, table layout or number formatting
+# fails the comparison. Both reports are free of host timing.
+#
+# usage: artifact_driver_identity.sh <axmemo> <golden-dir>
 set -eu
 
 driver="$1"
-legacy="$2"
-legacy_atm="${3:-}"
+golden="$2"
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -16,39 +19,32 @@ cd "$workdir"
 export AXMEMO_SCALE=0.02
 unset AXMEMO_FULL 2>/dev/null || true
 
-for jobs in 1 4; do
-    export AXMEMO_JOBS=$jobs
-    "$legacy" >legacy.$jobs.out 2>/dev/null
-    "$driver" run fig9 --out "$workdir" >driver.$jobs.out 2>/dev/null
-    if ! cmp -s legacy.$jobs.out driver.$jobs.out; then
-        echo "driver and legacy stdout differ at AXMEMO_JOBS=$jobs:" >&2
-        diff legacy.$jobs.out driver.$jobs.out >&2 || true
+# compare <golden-file> <output-file> <what>
+compare() {
+    if ! cmp -s "$1" "$2"; then
+        echo "$3 stdout differs from $1:" >&2
+        diff "$1" "$2" >&2 || true
         exit 1
     fi
-done
+}
 
-# Serial and parallel runs of the same artifact must match too.
-cmp legacy.1.out legacy.4.out
-cmp driver.1.out driver.4.out
+for jobs in 1 4; do
+    AXMEMO_JOBS=$jobs "$driver" run fig9 --out "$workdir" \
+        >fig9.$jobs.out 2>/dev/null
+    compare "$golden/fig9_scale0.02.stdout" fig9.$jobs.out \
+        "fig9 at AXMEMO_JOBS=$jobs"
+done
 
 # The driver must also have produced its sidecar files.
 test -s "$workdir/fig9_sweep.json"
 test -s "$workdir/fig9.json"
 test -s "$workdir/manifest.json"
 
-echo "fig9 driver/legacy stdout identical (serial and parallel)"
+echo "fig9 stdout matches the golden (serial and parallel)"
 
-# Same cross-check for atm_comparison, which dispatches through the
-# MemoBackend registry: the registry seam must not move a byte.
-if [ -n "$legacy_atm" ]; then
-    export AXMEMO_JOBS=1
-    "$legacy_atm" >legacy_atm.out 2>/dev/null
-    "$driver" run atm_comparison --out "$workdir" >driver_atm.out \
-        2>/dev/null
-    if ! cmp -s legacy_atm.out driver_atm.out; then
-        echo "driver and legacy atm_comparison stdout differ:" >&2
-        diff legacy_atm.out driver_atm.out >&2 || true
-        exit 1
-    fi
-    echo "atm_comparison driver/legacy stdout identical"
-fi
+# atm_comparison dispatches through the MemoBackend registry: the
+# registry seam must not move a byte either.
+AXMEMO_JOBS=1 "$driver" run atm_comparison --out "$workdir" \
+    >atm.out 2>/dev/null
+compare "$golden/atm_comparison_scale0.02.stdout" atm.out "atm_comparison"
+echo "atm_comparison stdout matches the golden"

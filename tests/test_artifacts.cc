@@ -3,9 +3,9 @@
  * The artifact registry (core/artifact.hh): registration inventory,
  * listing order, and the refactor's core promise — an artifact's
  * report text is byte-identical whether its sweep runs serially or in
- * parallel, and across repeated runs. The full stdout byte-identity
- * between `axmemo run fig9` and the legacy fig9_hitrate binary is
- * covered by the artifact_driver_identity ctest in
+ * parallel, and across repeated runs. The full stdout of `axmemo run
+ * fig9` and `axmemo run atm_comparison` is pinned byte for byte to the
+ * goldens in tests/golden/ by the artifact_driver_identity ctest in
  * tests/CMakeLists.txt.
  */
 

@@ -475,7 +475,7 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
     const char *const knobs[] = {
         "AXMEMO_JOBS",        "AXMEMO_SCALE",  "AXMEMO_FULL",
         "AXMEMO_RETRIES",     "AXMEMO_TIMING", "AXMEMO_JOB_TIMEOUT",
-        "AXMEMO_FAULT_INJECT"};
+        "AXMEMO_FAULT_INJECT", "AXMEMO_LEASE", "AXMEMO_SERVE_TENANTS"};
     std::vector<std::string> saved; // empty == was unset (or empty)
     for (const char *knob : knobs) {
         const char *value = std::getenv(knob);
@@ -519,10 +519,22 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
     setenv("AXMEMO_RETRIES", "lots", 1);
     setenv("AXMEMO_JOB_TIMEOUT", "-4", 1);
     setenv("AXMEMO_JOBS", "99999", 1);
+    setenv("AXMEMO_LEASE", "abc", 1);
+    setenv("AXMEMO_SERVE_TENANTS", "0", 1);
     const RuntimeOptions defensive = RuntimeOptions::fromEnv();
     EXPECT_EQ(defensive.retries, 1u);
     EXPECT_EQ(defensive.jobTimeoutSeconds, 0.0);
     EXPECT_EQ(defensive.jobs, 0u);
+    EXPECT_DOUBLE_EQ(defensive.leaseSeconds, 30.0);
+    EXPECT_EQ(defensive.serveTenants, 2u);
+    // A negative count must not wrap to a huge unsigned.
+    setenv("AXMEMO_RETRIES", "-1", 1);
+    EXPECT_EQ(RuntimeOptions::fromEnv().retries, 1u);
+    // "0" turns the watchdog off explicitly (it is a valid value).
+    setenv("AXMEMO_JOB_TIMEOUT", "7", 1);
+    EXPECT_DOUBLE_EQ(RuntimeOptions::fromEnv().jobTimeoutSeconds, 7.0);
+    setenv("AXMEMO_JOB_TIMEOUT", "0", 1);
+    EXPECT_EQ(RuntimeOptions::fromEnv().jobTimeoutSeconds, 0.0);
 
     for (std::size_t i = 0; i < saved.size(); ++i) {
         if (saved[i].empty())
@@ -530,6 +542,53 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
         else
             setenv(knobs[i], saved[i].c_str(), 1);
     }
+}
+
+TEST(RuntimeOptions, SharedValidatorsParseWholeStringsStrictly)
+{
+    // The one set of validators behind both AXMEMO_* and --flags.
+    EXPECT_EQ(parseUnsigned("--jobs", "0", 1024).value(), 0u);
+    EXPECT_EQ(parseUnsigned("--jobs", "1024", 1024).value(), 1024u);
+    EXPECT_EQ(parseUnsigned("--tenants", "1", 4096, 1).value(), 1u);
+    EXPECT_EQ(parseU64("--seed", "18446744073709551615").value(),
+              18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(parsePositiveDouble("--scale", "0.02").value(), 0.02);
+    EXPECT_DOUBLE_EQ(parsePositiveDouble("--lease", ".5").value(), 0.5);
+    EXPECT_DOUBLE_EQ(parsePositiveDouble("--scale", "1e-2").value(), 0.01);
+
+    // Signs, blanks, junk, empty text and out-of-range values are all
+    // rejected; "-1" must not wrap to a huge unsigned.
+    for (const char *bad : {"-1", "+1", " 1", "1 ", "1x", "x", "", "1025",
+                            "99999999999999999999"})
+        EXPECT_FALSE(parseUnsigned("--jobs", bad, 1024).ok()) << bad;
+    EXPECT_FALSE(parseUnsigned("--retries", "65", 64).ok());
+    EXPECT_FALSE(parseUnsigned("--tenants", "0", 4096, 1).ok());
+    for (const char *bad :
+         {"-1", "1.5", "abc", "", "18446744073709551616"})
+        EXPECT_FALSE(parseU64("--quota", bad).ok()) << bad;
+    for (const char *bad : {"0", "-4", "abc", "", "1s", "inf", "nan",
+                            " 2", "1e999"})
+        EXPECT_FALSE(parsePositiveDouble("--lease", bad).ok()) << bad;
+    // A watchdog's documented "0 = off" is valid text for it.
+    EXPECT_DOUBLE_EQ(
+        parseNonNegativeDouble("--job-timeout", "0").value(), 0.0);
+    EXPECT_DOUBLE_EQ(
+        parseNonNegativeDouble("--job-timeout", "2.5").value(), 2.5);
+    for (const char *bad : {"-4", "-0", "abc", "", "inf", " 0", "1e999"})
+        EXPECT_FALSE(parseNonNegativeDouble("--job-timeout", bad).ok())
+            << bad;
+
+    // The error is structured and names the knob and the text.
+    const Expected<unsigned> retries =
+        parseUnsigned("--retries", "-1", 64);
+    ASSERT_FALSE(retries.ok());
+    EXPECT_EQ(retries.error().code, ErrorCode::Config);
+    EXPECT_EQ(retries.error().message,
+              "malformed --retries='-1' (want an integer in [0, 64])");
+    const Expected<double> lease = parsePositiveDouble("--lease", "abc");
+    ASSERT_FALSE(lease.ok());
+    EXPECT_EQ(lease.error().message,
+              "malformed --lease='abc' (want a positive number)");
 }
 
 TEST(RuntimeOptions, DispatchBatchKnobsParse)

@@ -363,17 +363,5 @@ TEST(FleetStatus, StaleSnapshotWithoutManifestIsDead)
     EXPECT_EQ(fleet.workers[0].state, WorkerStatus::State::Dead);
 }
 
-TEST(FleetStatus, DescendsIntoTheShardsSubdirectory)
-{
-    TempDir dir("rundir");
-    std::filesystem::create_directories(dir.sub("shards/claims"));
-    writeFile(dir.sub("shards/metrics.w0.jsonl"),
-              snapshotLine("w0", 2, 4, 1.0));
-    const FleetStatus fleet = readFleetStatus(dir.path(), 30.0);
-    ASSERT_EQ(fleet.workers.size(), 1u);
-    EXPECT_EQ(fleet.workers[0].id, "w0");
-    EXPECT_EQ(fleet.dir, dir.sub("shards"));
-}
-
 } // namespace
 } // namespace axmemo

@@ -23,10 +23,13 @@
  *                                      JSON report
  *
  * Fault tolerance (--resume/--retries/--job-timeout/--isolate), shard
- * fleets (--shard-dir/--workers/--worker-id/--lease), observability
+ * fleets (--shard-dir/--worker-id/--lease), observability
  * (--debug-flags/--trace-out/--trace-timeline) and the host data-path
  * knobs (--dispatch/--no-batch) are documented in the flag table, the
  * runtime-knob table (`axmemo help`), and DESIGN.md §§8-14.
+ *
+ * `run --jobs <n>` (an in-process thread pool) is the one way to
+ * parallelize on one host; --shard-dir workers + `merge` span processes.
  *
  * Besides stdout, each run emits <name>_sweep.json (host-side sweep
  * performance), <name>.json (result rows) and <name>_stats.txt (one
@@ -35,17 +38,14 @@
  * serialized configuration of every simulated job.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <thread>
@@ -116,7 +116,7 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
         std::fprintf(stderr, "--quick/--check only apply to perf\n");
         return 2;
     }
-    RuntimeOptions runtime = args.runtime;
+    const RuntimeOptions &runtime = args.runtime;
     std::vector<std::string> names = args.positional;
     const bool json = args.json;
     if (names.empty()) {
@@ -259,59 +259,6 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
         return 0;
     };
 
-    // Convenience fan-out: fork N cooperating workers over one shard
-    // directory, wait for them, then fall through to the merge role.
-    // fork() happens before any thread exists in this process.
-    int workerExit = 0;
-    if (args.fanout > 1 && !merge) {
-        if (runtime.shardDir.empty())
-            runtime.shardDir = joinPath(
-                resolveOutputDir(runtime.outDir), "shards");
-        const std::string baseId =
-            runtime.workerId.empty()
-                ? std::string("w") + std::to_string(::getpid())
-                : runtime.workerId;
-        std::vector<pid_t> children;
-        for (unsigned k = 0; k < args.fanout; ++k) {
-            std::fflush(stdout);
-            std::fflush(stderr);
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                std::fprintf(stderr, "fork: %s\n",
-                             std::strerror(errno));
-                return 1;
-            }
-            if (pid == 0) {
-                runtime.workerId =
-                    baseId + "-" + std::to_string(k);
-                RuntimeOptions::setGlobal(runtime);
-                ShardQueue queue(runtime.shardDir, runtime.workerId,
-                                 runtime.leaseSeconds);
-                ArtifactRunOptions workerOptions = options;
-                workerOptions.runtime = runtime;
-                workerOptions.shardMode = ShardMode::Worker;
-                workerOptions.queue = &queue;
-                const int code = driveArtifacts(workerOptions);
-                if (!runtime.timeline.empty()) {
-                    std::string error;
-                    if (!telemetry::writeTimeline(queue.timelinePath(),
-                                                  runtime.workerId,
-                                                  &error))
-                        axm_warn("timeline segment: ", error);
-                }
-                std::exit(code);
-            }
-            children.push_back(pid);
-        }
-        for (const pid_t pid : children) {
-            int status = 0;
-            ::waitpid(pid, &status, 0);
-            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                workerExit = 1;
-        }
-        merge = true; // this process reduces what the workers drained
-    }
-
     if (merge) {
         if (runtime.shardDir.empty()) {
             std::fprintf(stderr, "merge needs --shard-dir\n");
@@ -336,7 +283,7 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
                 axm_warn("cannot write timeline: ",
                          wrote.error().describe());
         }
-        return code ? code : workerExit;
+        return code;
     }
     if (!runtime.shardDir.empty()) {
         const std::string workerId =
@@ -392,7 +339,7 @@ statusEntry(cli::CommonArgs &args)
 {
     if (args.positional.size() != 1) {
         std::fprintf(stderr,
-                     "status takes exactly one <shard-dir|run-dir>\n");
+                     "status takes exactly one <shard-dir>\n");
         return 2;
     }
     const std::string statusDir = args.positional[0];
@@ -566,10 +513,11 @@ main(int argc, char **argv)
          "synthesis, the memoization transform, timing simulation, "
          "energy\nmodel and quality scoring, with reports and "
          "manifest.json in the\noutput directory.\n\n"
+         "Parallelism: --jobs <n> sweep threads in this process.\n"
          "Fault tolerance: --resume --retries --job-timeout "
-         "--fault-inject\n--isolate. Shard fleets: --shard-dir "
-         "--worker-id --lease, or\n--workers <n> to fork a local "
-         "fleet and merge in one invocation.\n",
+         "--fault-inject\n--isolate. Shard fleets: start workers "
+         "with --shard-dir --worker-id\n--lease, then reduce them "
+         "with `axmemo merge`.\n",
          runEntry});
     registry.add({"profile", "run artifacts, then print the "
                              "phase-timer table",
@@ -585,9 +533,9 @@ main(int argc, char **argv)
                   "single-process run (same --jobs,\n--no-timing), "
                   "plus <name>_shards.json with per-worker counters.\n",
                   mergeEntry});
-    registry.add({"status", "one-screen fleet view of a shard/run "
+    registry.add({"status", "one-screen fleet view of a shard "
                             "directory",
-                  "<shard-dir|run-dir> [--json] [--watch <s>]",
+                  "<shard-dir> [--json] [--watch <s>]",
                   "Reads worker heartbeats and metrics snapshots: "
                   "per-worker state\n(running / idle / done / dead), "
                   "progress, EWMA throughput and ETA\n(reports a "

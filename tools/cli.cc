@@ -1,7 +1,6 @@
 #include "tools/cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -23,6 +22,19 @@ fail(std::string *error, std::string message)
     return false;
 }
 
+/** Store @p parsed in @p out, or report its error as the flag error.
+ * The validators are RuntimeOptions's, so a flag accepts exactly the
+ * text its AXMEMO_* twin does (but rejects what the twin warns on). */
+template <typename T, typename U>
+bool
+store(const Expected<T> &parsed, U &out, std::string *error)
+{
+    if (!parsed.ok())
+        return fail(error, parsed.error().message);
+    out = parsed.value();
+    return true;
+}
+
 } // namespace
 
 const std::vector<FlagSpec> &
@@ -32,27 +44,22 @@ flagTable()
     // knob-backed ones in detail, so help lines here stay short.
     static const std::vector<FlagSpec> table = {
         {"--scale", "<f>", "dataset scale factor",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.scale = std::atof(v);
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             if (!store(parsePositiveDouble("--scale", v), a.scale, error))
+                 return false;
              a.runtime.scale = a.scale;
-             a.runtime.scaleSet = a.scale > 0.0;
-             // Keep the environment in sync for child-style consumers
-             // (perf re-reads it when it changes the scale mid-run).
-             setenv("AXMEMO_SCALE", v, 1);
+             a.runtime.scaleSet = true;
              return true;
          }},
         {"--full", nullptr, "paper-size inputs (scale 1.0)",
          +[](CommonArgs &a, const char *, std::string *) {
              a.runtime.full = true;
-             setenv("AXMEMO_FULL", "1", 1);
              return true;
          }},
         {"--jobs", "<n>", "sweep worker count",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.jobs = static_cast<unsigned>(
-                 std::strtoul(v, nullptr, 10));
-             setenv("AXMEMO_JOBS", v, 1);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parseUnsigned("--jobs", v, 1024), a.runtime.jobs,
+                          error);
          }},
         {"--out", "<dir>", "output directory for emitted files",
          +[](CommonArgs &a, const char *v, std::string *) {
@@ -70,15 +77,14 @@ flagTable()
              return true;
          }},
         {"--retries", "<n>", "per-job retries after a failure",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.retries = static_cast<unsigned>(
-                 std::strtoul(v, nullptr, 10));
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parseUnsigned("--retries", v, 64),
+                          a.runtime.retries, error);
          }},
         {"--job-timeout", "<s>", "per-job watchdog seconds",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.jobTimeoutSeconds = std::atof(v);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parseNonNegativeDouble("--job-timeout", v),
+                          a.runtime.jobTimeoutSeconds, error);
          }},
         {"--no-timing", nullptr,
          "zero host-timing fields (byte-comparable reports)",
@@ -124,20 +130,14 @@ flagTable()
              return true;
          }},
         {"--lease", "<s>", "shard claim lease window seconds",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.leaseSeconds = std::atof(v);
-             return true;
-         }},
-        {"--workers", "<n>", "fork <n> local shard workers, then merge",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.fanout = static_cast<unsigned>(
-                 std::strtoul(v, nullptr, 10));
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parsePositiveDouble("--lease", v),
+                          a.runtime.leaseSeconds, error);
          }},
         {"--watch", "<s>", "status: re-render every <s> seconds",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.watchSeconds = std::atof(v);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parsePositiveDouble("--watch", v),
+                          a.watchSeconds, error);
          }},
         {"--quick", nullptr, "perf: CI-smoke sized iteration counts",
          +[](CommonArgs &a, const char *, std::string *) {
@@ -186,23 +186,19 @@ flagTable()
          }},
         {"--tenants", "<n>", "serve: tenants to provision",
          +[](CommonArgs &a, const char *v, std::string *error) {
-             const unsigned long n = std::strtoul(v, nullptr, 10);
-             if (n == 0 || n > 4096)
-                 return fail(error,
-                             std::string("--tenants wants 1..4096 "
-                                         "(got '") +
-                                 v + "')");
-             a.runtime.serveTenants = static_cast<unsigned>(n);
-             return true;
+             return store(parseUnsigned("--tenants", v, 4096, 1),
+                          a.runtime.serveTenants, error);
          }},
         {"--quota", "<n>", "serve: per-tenant LUT entry quota (0 = off)",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.serveQuota = std::strtoull(v, nullptr, 10);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parseU64("--quota", v), a.runtime.serveQuota,
+                          error);
          }},
         {"--lut-bytes", "<n>", "serve: physical LUT size in bytes",
          +[](CommonArgs &a, const char *v, std::string *error) {
-             const std::uint64_t bytes = std::strtoull(v, nullptr, 10);
+             std::uint64_t bytes = 0;
+             if (!store(parseU64("--lut-bytes", v), bytes, error))
+                 return false;
              if (bytes == 0)
                  return fail(error, "--lut-bytes wants a positive size");
              a.runtime.serveLutBytes = bytes;
@@ -210,24 +206,18 @@ flagTable()
          }},
         {"--queue", "<n>", "serve: bounded request-queue depth",
          +[](CommonArgs &a, const char *v, std::string *error) {
-             const std::uint64_t depth = std::strtoull(v, nullptr, 10);
-             if (depth == 0 || depth > (1u << 20))
-                 return fail(error,
-                             std::string("--queue wants 1..1048576 "
-                                         "(got '") +
-                                 v + "')");
-             a.runtime.serveQueue = static_cast<unsigned>(depth);
-             return true;
+             return store(parseUnsigned("--queue", v, 1 << 20, 1),
+                          a.runtime.serveQueue, error);
          }},
         {"--seed", "<n>", "replay: request-trace generator seed",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.traceSeed = std::strtoull(v, nullptr, 10);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parseU64("--seed", v), a.runtime.traceSeed,
+                          error);
          }},
         {"--requests", "<n>", "replay: requests to generate (0 = default)",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.traceRequests = std::strtoull(v, nullptr, 10);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return store(parseU64("--requests", v),
+                          a.runtime.traceRequests, error);
          }},
         {"--drain", nullptr, "replay: send a Drain after the trace",
          +[](CommonArgs &a, const char *, std::string *) {
@@ -399,7 +389,7 @@ dispatch(int argc, char **argv, const SubcommandRegistry &registry)
     args.runtime = RuntimeOptions::fromEnv();
     const Expected<void> parsed = parseArgs(argc, argv, 2, args);
     if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.error().message.c_str());
+        std::fprintf(stderr, "%s\n", parsed.error().describe().c_str());
         return 2;
     }
 

@@ -54,7 +54,6 @@ struct CommonArgs
     bool resume = false;  ///< --resume (run/profile)
     bool drain = false;   ///< --drain (replay)
     double watchSeconds = 0.0; ///< --watch (status)
-    unsigned fanout = 0;       ///< --workers (run)
     /** Raw --scale value (perf re-derives scale sweeps from it). */
     double scale = 0.0;
 };

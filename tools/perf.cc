@@ -7,7 +7,8 @@
  * byte table and bit-serial LFSR, the LUT/cache way scan) times that
  * too, inside the same binary, so the ratios travel with the repo.
  * The fig7 rows then re-run the sweep with each host-side lever
- * toggled to attribute the end-to-end rate.
+ * toggled to attribute the end-to-end rate, and the dse_scaling row
+ * runs the dse smoke grid at 1, 2 and 4 sweep threads.
  */
 
 #include "tools/perf.hh"
@@ -18,23 +19,21 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <fcntl.h>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/runtime_options.hh"
+#include "common/thread_pool.hh"
 #include "core/artifact.hh"
+#include "core/json_export.hh"
 #include "core/json_value.hh"
 #include "core/output_paths.hh"
-#include "core/shard_queue.hh"
 #include "crc/crc.hh"
 #include "memo/lut.hh"
 #include "memsys/cache.hh"
@@ -132,7 +131,7 @@ struct JsonObj
     field(const std::string &k, const std::string &v)
     {
         key(k);
-        os << "\"" << v << "\"";
+        os << "\"" << JsonWriter::escape(v) << "\"";
     }
     /** Booleans serialize as JSON true/false, not "true"/"false".
      * The const char* overload exists so string literals keep landing
@@ -532,53 +531,52 @@ benchServe(std::size_t requests)
 }
 
 /**
- * Host-side execution levers for one benchFig7 run. Every combination
+ * Host-side execution levers for one benchSweep run. Every combination
  * produces bit-identical simulated results (DESIGN.md §10); only the
  * wall clock moves, which is exactly what the per-lever rows attribute.
  */
-struct Fig7Levers
+struct HostLevers
 {
     const char *dispatch = "auto"; // auto | threaded | switch
     bool blockBatch = true;
 };
 
+/**
+ * One in-process sweep of the registered artifact @p name at @p scale:
+ * enqueue, execute on a SweepEngine with @p workers threads (0 = the
+ * driver's --jobs), reduce. The report text is discarded; the timing
+ * includes it.
+ */
 JsonObj
-benchFig7(double scale, const Fig7Levers &levers = {},
-          double baselineMinstr = 0.0, double *minstrOut = nullptr)
+benchSweep(const char *name, double scale, unsigned workers = 0,
+           const HostLevers &levers = {}, double baselineMinstr = 0.0,
+           double *minstrOut = nullptr)
 {
-    char scaleStr[32];
-    std::snprintf(scaleStr, sizeof(scaleStr), "%g", scale);
-    setenv("AXMEMO_SCALE", scaleStr, 1);
-    unsetenv("AXMEMO_FULL");
-    setenv("AXMEMO_DISPATCH", levers.dispatch, 1);
-    setenv("AXMEMO_NO_BATCH", levers.blockBatch ? "0" : "1", 1);
-    // The driver froze RuntimeOptions at startup; mirror the scale and
-    // lever changes into the frozen copy so benchScale() consumers and
-    // the simulator's knob reads see them.
-    if (RuntimeOptions::globalFrozen()) {
-        RuntimeOptions updated = RuntimeOptions::global();
-        updated.scale = scale;
-        updated.scaleSet = scale > 0.0;
-        updated.full = false;
-        updated.dispatch = levers.dispatch;
-        updated.blockBatch = levers.blockBatch;
-        RuntimeOptions::setGlobal(updated);
-    }
+    // Every knob read (benchScale(), the simulator's dispatch and
+    // batching) goes through the driver's frozen RuntimeOptions, so the
+    // scale and levers are set there.
+    RuntimeOptions updated = RuntimeOptions::global();
+    updated.scale = scale;
+    updated.scaleSet = true;
+    updated.full = false;
+    updated.dispatch = levers.dispatch;
+    updated.blockBatch = levers.blockBatch;
+    RuntimeOptions::setGlobal(updated);
 
     const std::unique_ptr<Artifact> artifact =
-        ArtifactRegistry::instance().make("fig7");
+        ArtifactRegistry::instance().make(name);
     JsonObj o;
     o.field("scale", scale);
     if (!artifact) {
-        o.field("error", std::string("fig7 not registered"));
+        o.field("error", std::string(name) + " not registered");
         return o;
     }
 
-    SweepEngine engine;
+    SweepEngine engine(workers ? workers : ThreadPool::jobsFromEnv());
     const auto start = Clock::now();
     artifact->enqueue(engine);
     const std::vector<SweepOutcome> outcomes = engine.execute();
-    artifact->reduce(outcomes); // report text discarded; timing includes it
+    artifact->reduce(outcomes);
     const double wall = secondsSince(start);
 
     const SweepMetrics &m = engine.metrics();
@@ -596,122 +594,32 @@ benchFig7(double scale, const Fig7Levers &levers = {},
 }
 
 /**
- * Multi-process shard-queue scaling: run the dse smoke grid to
- * completion with 1, 2 and 4 cooperating single-threaded workers
- * (`run dse --shard-dir ... --jobs 1`) and report the aggregate
- * simulated Minstr/s at each width. Workers are real child processes of
- * this binary (fork + exec of /proc/self/exe), so the number includes
- * every claim/heartbeat/journal cost of the shard protocol — this is
- * the end-to-end scaling figure for DESIGN.md §12, not a microbench.
+ * Thread scaling of the sweep engine: the dse smoke grid run in
+ * process at 1, 2 and 4 workers (`run dse --jobs <n>`, the one local
+ * parallelism mechanism), reported as simulated Minstr/s per width.
  */
 JsonObj
-benchDseScaling(double scale, const std::string &outDir)
+benchDseScaling(double scale)
 {
     JsonObj o;
     o.field("scale", scale);
     // Scaling is bounded by the host: on a 1-core container every
-    // width serializes and the ratios legitimately sit at ~1.0x or
-    // below (per-worker setup is duplicated). Record the bound so the
-    // entry is interpretable wherever it was generated.
+    // width serializes and the ratios legitimately sit at ~1.0x.
+    // Record the bound so the entry is interpretable wherever it was
+    // generated.
     o.field("host_cpus",
             static_cast<std::uint64_t>(
                 std::thread::hardware_concurrency()));
-    char scaleStr[32];
-    std::snprintf(scaleStr, sizeof(scaleStr), "%g", scale);
-    const std::string base = joinPath(
-        resolveOutputDir(outDir),
-        "dse_scaling." +
-            std::to_string(static_cast<unsigned long>(::getpid())));
-
     double baseMinstr = 0.0;
-    for (const int workers : {1, 2, 4}) {
-        const std::string dir = base + ".w" + std::to_string(workers);
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec); // fresh queue per width
-
-        std::vector<pid_t> kids;
-        const auto start = Clock::now();
-        for (int k = 0; k < workers; ++k) {
-            const std::string wid = "perf" + std::to_string(k);
-            const pid_t pid = ::fork();
-            if (pid < 0)
-                break;
-            if (pid == 0) {
-                // Worker mode prints only a stderr summary; drop even
-                // that so the perf report stays clean.
-                const int null = ::open("/dev/null", O_WRONLY);
-                if (null >= 0) {
-                    ::dup2(null, STDOUT_FILENO);
-                    if (!::getenv("AXMEMO_PERF_DEBUG"))
-                        ::dup2(null, STDERR_FILENO);
-                }
-                ::execl("/proc/self/exe", "axmemo", "run", "dse",
-                        "--shard-dir", dir.c_str(), "--worker-id",
-                        wid.c_str(), "--jobs", "1", "--no-timing",
-                        "--scale", scaleStr, "--out", dir.c_str(),
-                        static_cast<char *>(nullptr));
-                ::_exit(127);
-            }
-            kids.push_back(pid);
-        }
-        bool ok = static_cast<int>(kids.size()) == workers;
-        std::string detail = ok ? "" : "fork failed";
-        for (const pid_t pid : kids) {
-            int status = 0;
-            if (::waitpid(pid, &status, 0) != pid) {
-                ok = false;
-                detail = "waitpid failed";
-            } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-                ok = false;
-                detail = WIFEXITED(status)
-                             ? "worker exit " +
-                                   std::to_string(WEXITSTATUS(status))
-                             : "worker signal " +
-                                   std::to_string(WTERMSIG(status));
-            }
-        }
-        const double wall = secondsSince(start);
-
-        // Aggregate simulated volume across the per-worker manifests.
-        std::uint64_t macroInsts = 0;
-        if (::getenv("AXMEMO_PERF_DEBUG"))
-            std::fprintf(stderr, "[dse_scaling] w%d: %zu manifest(s) in %s\n",
-                         workers, ShardQueue::shardManifests(dir).size(),
-                         dir.c_str());
-        for (const std::string &manifest :
-             ShardQueue::shardManifests(dir)) {
-            std::ifstream in(manifest);
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            const Expected<JValue> doc = parseJsonValue(ss.str());
-            if (!doc.ok()) {
-                ok = false;
-                detail = "unreadable manifest " + manifest;
-                continue;
-            }
-            const JValue *insts =
-                doc.value().find("simulated_macro_insts");
-            if (insts && insts->kind == JValue::Kind::Number)
-                macroInsts += std::strtoull(insts->token.c_str(),
-                                            nullptr, 10);
-        }
-        std::filesystem::remove_all(dir, ec);
-
-        const std::string tag = "workers_" + std::to_string(workers);
-        if (!ok || wall <= 0.0 || macroInsts == 0) {
-            if (detail.empty())
-                detail = "no simulated volume in shard manifests";
-            o.field(tag + "_error", detail);
-            continue;
-        }
-        const double minstr =
-            static_cast<double>(macroInsts) / 1e6 / wall;
-        o.field(tag + "_wall_seconds", wall);
-        o.field(tag + "_minstr_per_second", minstr);
-        if (workers == 1)
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        double minstr = 0.0;
+        benchSweep("dse", scale, jobs, {}, 0.0, &minstr);
+        o.field("jobs_" + std::to_string(jobs) + "_minstr_per_second",
+                minstr);
+        if (jobs == 1)
             baseMinstr = minstr;
         else if (baseMinstr > 0.0)
-            o.field("scaling_" + std::to_string(workers) + "x",
+            o.field("scaling_" + std::to_string(jobs) + "x",
                     minstr / baseMinstr);
     }
     return o;
@@ -755,6 +663,50 @@ appendEntry(const std::string &path, const std::string &entry)
     return out.good();
 }
 
+/** The host fingerprint every entry carries: CPU model, CPU count,
+ * compiler and build type. Entries are compared only against earlier
+ * entries with an identical fingerprint and the same mode. */
+JsonObj
+hostFingerprint()
+{
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t start =
+            line.find_first_not_of(" \t", line.find(':') + 1);
+        if (start != std::string::npos)
+            cpu = line.substr(start);
+        break;
+    }
+    JsonObj o;
+    o.field("cpu_model", cpu);
+    o.field("nproc", static_cast<std::uint64_t>(
+                         std::thread::hardware_concurrency()));
+    o.field("compiler", AXMEMO_COMPILER);
+    o.field("build_type", AXMEMO_BUILD_TYPE);
+    return o;
+}
+
+/** True when @p a and @p b ran in the same mode on the same host. */
+bool
+comparable(const JValue &a, const JValue &b)
+{
+    const JValue *quickA = a.find("quick");
+    const JValue *quickB = b.find("quick");
+    const JValue *hostA = a.find("host");
+    const JValue *hostB = b.find("host");
+    const auto sameField = [](const auto &x, const auto &y) {
+        return x.first == y.first && x.second.token == y.second.token;
+    };
+    return quickA && quickB && quickA->boolean == quickB->boolean &&
+           hostA && hostB &&
+           hostA->members.size() == hostB->members.size() &&
+           std::equal(hostA->members.begin(), hostA->members.end(),
+                      hostB->members.begin(), sameField);
+}
+
 std::string
 utcNow()
 {
@@ -767,8 +719,9 @@ utcNow()
 }
 
 /**
- * Print a per-section delta table of @p currentJson against the last
- * entry already recorded in @p path, before the new entry is appended.
+ * Print a per-section delta table of @p currentJson against the newest
+ * comparable() entry already recorded in @p path (same host
+ * fingerprint, same quick/full mode), before the new entry is appended.
  * One canonical metric per section; the ratio is normalized so > 1.00x
  * is always an improvement (inverted for ns-per-op metrics), and any
  * regression beyond 5% is flagged. Silent when there is no history yet;
@@ -776,8 +729,8 @@ utcNow()
  * entries predating a section never break the diff.
  *
  * @return the number of canonical metrics that regressed beyond 5%
- * (0 when there is no history to diff against), so `perf --check` can
- * turn the table into a gate.
+ * (0 when there is no comparable entry to diff against), so `perf
+ * --check` can turn the table into a gate.
  */
 std::size_t
 printDeltaVsPrevious(const std::string &path,
@@ -800,10 +753,21 @@ printDeltaVsPrevious(const std::string &path,
                     path.c_str());
         return 0;
     }
-    const JValue &prev = history.value().elements.back();
     const Expected<JValue> current = parseJsonValue(currentJson);
     if (!current.ok())
         return 0;
+    const std::vector<JValue> &entries = history.value().elements;
+    const auto match = std::find_if(
+        entries.rbegin(), entries.rend(), [&](const JValue &entry) {
+            return comparable(entry, current.value());
+        });
+    if (match == entries.rend()) {
+        std::printf("\nno earlier entry in %s from this host in this "
+                    "mode; delta table skipped\n",
+                    path.c_str());
+        return 0;
+    }
+    const JValue &prev = *match;
 
     struct Row
     {
@@ -822,24 +786,14 @@ printDeltaVsPrevious(const std::string &path,
         {"telemetry", "disabled_guard_ns_per_op", false},
         {"serve", "requests_per_second", true},
         {"fig7", "simulated_minstr_per_second", true},
-        {"dse_scaling", "workers_4_minstr_per_second", true},
+        {"dse_scaling", "jobs_4_minstr_per_second", true},
     };
 
     const JValue *prevUtc = prev.find("utc");
-    const JValue *prevQuick = prev.find("quick");
-    const JValue *curQuick = current.value().find("quick");
-    const bool modeMismatch =
-        prevQuick && curQuick &&
-        prevQuick->kind == JValue::Kind::Bool &&
-        curQuick->kind == JValue::Kind::Bool &&
-        prevQuick->boolean != curQuick->boolean;
-    std::printf("\ndelta vs previous entry (%s)%s:\n",
+    std::printf("\ndelta vs previous same-host entry (%s):\n",
                 prevUtc && prevUtc->kind == JValue::Kind::String
                     ? prevUtc->token.c_str()
-                    : "unknown time",
-                modeMismatch
-                    ? " [quick-mode mismatch: deltas not comparable]"
-                    : "");
+                    : "unknown time");
     std::printf("  %-12s %-28s %12s %12s %8s\n", "section", "metric",
                 "previous", "current", "ratio");
     std::size_t regressions = 0;
@@ -893,9 +847,10 @@ runPerf(const PerfOptions &options)
     JsonObj entry;
     entry.field("utc", utcNow());
     entry.field("quick", options.quick);
+    entry.field("host", hostFingerprint());
 
     // Every section runs under a phase timer; the aggregated snapshot
-    // (including the sweep.* phases benchFig7's execute() records, per
+    // (including the sweep.* phases benchSweep's execute() records, per
     // worker) lands in the entry's "phases" object.
     obs::Profiler::instance().reset();
     const auto section = [&](const char *name, auto bench) {
@@ -918,7 +873,7 @@ runPerf(const PerfOptions &options)
     section("telemetry",
             [&] { return benchTelemetry(8'000'000 / scaleDown); });
     section("serve", [&] { return benchServe(32'000 / scaleDown); });
-    section("fig7", [&] { return benchFig7(fig7Scale); });
+    section("fig7", [&] { return benchSweep("fig7", fig7Scale); });
 
     // Per-lever fig7 rows: the same sweep re-run with each host-side
     // speed lever toggled, so the entry attributes the end-to-end gain
@@ -928,33 +883,24 @@ runPerf(const PerfOptions &options)
     // scoreboard metric.
     double leverBase = 0.0;
     section("fig7_switch_nobatch", [&] {
-        return benchFig7(fig7Scale, {"switch", false}, 0.0, &leverBase);
+        return benchSweep("fig7", fig7Scale, 0, {"switch", false}, 0.0,
+                          &leverBase);
     });
     section("fig7_threaded_nobatch", [&] {
-        return benchFig7(fig7Scale, {"threaded", false}, leverBase);
+        return benchSweep("fig7", fig7Scale, 0, {"threaded", false},
+                          leverBase);
     });
     section("fig7_threaded_batch", [&] {
-        return benchFig7(fig7Scale, {"threaded", true}, leverBase);
+        return benchSweep("fig7", fig7Scale, 0, {"threaded", true},
+                          leverBase);
     });
-    // Put the lever knobs back so anything after us sees the defaults.
-    unsetenv("AXMEMO_DISPATCH");
-    unsetenv("AXMEMO_NO_BATCH");
-    if (RuntimeOptions::globalFrozen()) {
-        RuntimeOptions restored = RuntimeOptions::global();
-        restored.dispatch = "auto";
-        restored.blockBatch = true;
-        RuntimeOptions::setGlobal(restored);
-    }
 
-    // Multi-process scaling of the shard queue over the dse smoke grid.
-    // Runs after the lever knobs are restored so the workers inherit
-    // default dispatch/batch settings. Full mode floors the scale
-    // at 0.05: below that the smoke jobs are so short that per-process
-    // setup and claim traffic drown whatever scaling exists.
+    // Thread scaling over the dse smoke grid, with default levers. Full
+    // mode floors the scale at 0.05: below that the smoke jobs are so
+    // short that per-job setup drowns whatever scaling exists.
     const double dseScale =
         options.quick ? fig7Scale : std::max(fig7Scale, 0.05);
-    section("dse_scaling",
-            [&] { return benchDseScaling(dseScale, options.outDir); });
+    section("dse_scaling", [&] { return benchDseScaling(dseScale); });
 
     entry.rawField("phases", obs::Profiler::instance().renderJson());
 

@@ -23,8 +23,9 @@ struct PerfOptions
     std::string outDir;
     /** Dataset scale of the end-to-end fig7 run (--scale). */
     double scale = 0.0; ///< 0 = default (0.05, or 0.02 with --quick)
-    /** --check: exit nonzero when the delta-vs-previous table flags a
-     * regression beyond 5% on any canonical metric. */
+    /** --check: exit nonzero when the delta table against the newest
+     * entry from the same host in the same mode flags a regression
+     * beyond 5% on any canonical metric. */
     bool check = false;
 };
 
