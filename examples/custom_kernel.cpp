@@ -113,19 +113,19 @@ main()
                 static_cast<long long>(prog.size()));
 
     // --- step 1-2: trace the program, build the DDDG ---
-    TraceRecorder recorder(1u << 18);
+    TraceBuffer buffer(1u << 18);
     SimStats baseStats;
     std::vector<float> exact;
     {
         DistanceField fresh;
         Simulator sim(prog, fresh.mem, {});
-        sim.setTraceHook(recorder.hook());
+        sim.setTraceBuffer(&buffer);
         baseStats = sim.run();
         exact = fresh.mem.readFloats(fresh.out, kQueries);
     }
-    const Dddg graph(prog, recorder.entries());
+    const Dddg graph(prog, buffer.entries());
     std::printf("trace: %zu dynamic instructions, DDDG weight %llu\n",
-                recorder.entries().size(),
+                buffer.entries().size(),
                 static_cast<unsigned long long>(graph.totalWeight()));
 
     // --- step 3: candidate search (Table 1 for this kernel) ---

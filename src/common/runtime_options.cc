@@ -132,23 +132,6 @@ RuntimeOptions::fromEnv()
     if (const char *env = envOrNull("AXMEMO_FAULT_INJECT"))
         options.faultInject = env;
 
-    if (const char *env = envOrNull("AXMEMO_DISPATCH")) {
-        if (std::strcmp(env, "auto") == 0 ||
-            std::strcmp(env, "threaded") == 0 ||
-            std::strcmp(env, "switch") == 0)
-            options.dispatch = env;
-        else
-            axm_warn("ignoring malformed AXMEMO_DISPATCH='", env,
-                     "' (want auto, threaded or switch)");
-    }
-    if (const char *env = envOrNull("AXMEMO_NO_BATCH")) {
-        if (std::strcmp(env, "1") == 0)
-            options.blockBatch = false;
-        else if (std::strcmp(env, "0") != 0)
-            axm_warn("ignoring malformed AXMEMO_NO_BATCH='", env,
-                     "' (want 0 or 1)");
-    }
-
     if (const char *env = envOrNull("AXMEMO_SHARD_DIR"))
         options.shardDir = env;
     if (const char *env = envOrNull("AXMEMO_WORKER_ID"))
@@ -272,7 +255,7 @@ RuntimeOptions::describeKnobs()
            "  AXMEMO_SWEEP_DIR    --out <dir>        .                 "
            "output directory for reports and manifest\n"
            "  AXMEMO_DEBUG        --debug-flags <s>  (off)             "
-           "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof,Host|All\n"
+           "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof|All\n"
            "  AXMEMO_RETRIES      --retries <n>      1                 "
            "per-job retries after a failure (not timeouts)\n"
            "  AXMEMO_JOB_TIMEOUT  --job-timeout <s>  0 (off)           "
@@ -281,10 +264,6 @@ RuntimeOptions::describeKnobs()
            "0 zeroes host-timing fields in every report\n"
            "  AXMEMO_FAULT_INJECT --fault-inject <s> (off)             "
            "test hook: fail jobs matching <workload>[:<attempts>]\n"
-           "  AXMEMO_DISPATCH     --dispatch <m>     auto              "
-           "interpreter loop: auto | threaded | switch (bit-identical)\n"
-           "  AXMEMO_NO_BATCH     --no-batch         0                 "
-           "1 disables basic-block macro-op batching\n"
            "  AXMEMO_SHARD_DIR    --shard-dir <d>    (off)             "
            "shared work-queue directory: cooperate with other workers\n"
            "  AXMEMO_WORKER_ID    --worker-id <s>    w<pid>            "

@@ -28,18 +28,11 @@
  *   AXMEMO_JOB_TIMEOUT  --job-timeout <s> per-job watchdog seconds (0 = off)
  *   AXMEMO_TIMING       --no-timing       0 zeroes host-timing report fields
  *   AXMEMO_FAULT_INJECT --fault-inject    test hook: fail matching jobs
- *   AXMEMO_DISPATCH     --dispatch <m>    interpreter loop: auto|threaded|switch
- *   AXMEMO_NO_BATCH     --no-batch        1 disables basic-block batching
  *   AXMEMO_SHARD_DIR    --shard-dir <d>   shared work-queue directory
  *   AXMEMO_WORKER_ID    --worker-id <s>   shard worker identity
  *   AXMEMO_LEASE        --lease <s>       claim lease window seconds (30)
  *   AXMEMO_ISOLATE      --isolate         1 forks each job into a child
  *   AXMEMO_TIMELINE     --trace-timeline  span timeline output file
- *
- * The dispatch/batch knobs select between bit-identical host data
- * paths (DESIGN.md §10): they change simulation speed, never simulated
- * results, so they are host-side options rather than ExperimentConfig
- * fields and stay out of the canonical manifest serialization.
  */
 
 #ifndef AXMEMO_COMMON_RUNTIME_OPTIONS_HH
@@ -94,13 +87,6 @@ struct RuntimeOptions
      * whose workload matches fail their first <attempts> attempts
      * (default: all attempts). Test/CI use only; empty = off. */
     std::string faultInject;
-    /** Interpreter dispatch mode: "auto" (threaded when compiled in),
-     * "threaded" (computed goto; warns and falls back if the build
-     * lacks it) or "switch" (portable fallback loop). */
-    std::string dispatch = "auto";
-    /** Basic-block macro-op batching in the simulator inner loop;
-     * AXMEMO_NO_BATCH=1 / --no-batch turns it off. */
-    bool blockBatch = true;
     /** Shared work-queue directory (core/shard_queue.hh); empty = the
      * sweep runs single-process with the plain resume journal. */
     std::string shardDir;

@@ -21,7 +21,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "compiler/trace.hh"
+#include "isa/dyn_trace.hh"
 #include "isa/program.hh"
 
 namespace axmemo {

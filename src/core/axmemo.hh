@@ -26,7 +26,6 @@
 #include "compiler/iact_transform.hh"
 #include "compiler/region_finder.hh"
 #include "compiler/software_transform.hh"
-#include "compiler/trace.hh"
 #include "compiler/speedup_estimator.hh"
 #include "compiler/transform.hh"
 #include "core/experiment.hh"

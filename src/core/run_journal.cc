@@ -9,6 +9,7 @@
 #include "core/json_value.hh"
 #include "core/memo_backends.hh"
 #include "core/output_paths.hh"
+#include "obs/json_escape.hh"
 
 namespace axmemo {
 
@@ -49,31 +50,6 @@ fd(double value)
     std::string out;
     appendDouble(out, value);
     return out;
-}
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 template <typename Buckets>
@@ -204,7 +180,7 @@ appendSimStats(std::string &out, const SimStats &s)
         if (!first)
             out += ',';
         first = false;
-        appendEscaped(out, name);
+        appendJsonString(out, name);
         out += ':';
         appendInt(out, value);
     }
@@ -215,7 +191,7 @@ void
 appendRunResult(std::string &out, const RunResult &r)
 {
     out += "{\"mode\":";
-    appendEscaped(out, r.backend);
+    appendJsonString(out, r.backend);
     out += ",\"lookups\":";
     appendInt(out, r.lookups);
     out += ",\"hits\":";
@@ -557,7 +533,7 @@ SweepJournal::encodeLine(const std::string &key,
     std::string out;
     out.reserve(16 * 1024); // typical line size; avoids regrowth churn
     out += "{\"key\":";
-    appendEscaped(out, key);
+    appendJsonString(out, key);
     out += ",\"seconds\":" + fd(outcome.seconds);
     out += outcome.scored ? ",\"scored\":true" : ",\"scored\":false";
     out += ",\"run\":";

@@ -256,14 +256,4 @@ CrcEngine::compute(const void *data, std::size_t len) const
     return finalize(update(initial(), data, len));
 }
 
-const char *
-CrcEngine::bulkPathName() const
-{
-    if (sliced())
-        return "slice8";
-    if (spec_.width >= 8 || spec_.reflected)
-        return "table";
-    return "bit-serial";
-}
-
 } // namespace axmemo

@@ -107,8 +107,9 @@ class CrcEngine
     /** Advance @p state by one byte using the table (8-bit parallel). */
     std::uint64_t updateByte(std::uint64_t state, std::uint8_t byte) const;
 
-    /** Advance @p state over @p len bytes at @p data through the bulk
-     * path for this spec (see bulkPathName()). */
+    /** Advance @p state over @p len bytes at @p data: slice-by-8 when
+     * sliced(), else the byte table (or bit-serial for narrow
+     * non-reflected widths). */
     std::uint64_t update(std::uint64_t state, const void *data,
                          std::size_t len) const;
 
@@ -130,10 +131,6 @@ class CrcEngine
 
     /** True when the slice-by-8 bulk path is active for this width. */
     bool sliced() const { return stateBytes_ != 0; }
-
-    /** Name of the bulk data path update() uses: "slice8", "table" or
-     * "bit-serial". */
-    const char *bulkPathName() const;
 
   private:
     /** Advance @p state over @p n bytes (stateBytes_ <= n <= 8) as one

@@ -1,7 +1,8 @@
 /**
  * @file
- * Basic-block partitioning of an AxIR program, with per-block static
- * aggregates for the simulator's macro-op batching (DESIGN.md §10).
+ * Basic-block partitioning of an AxIR program, with the per-block
+ * static sums the simulator's block counting adds on block entry
+ * (DESIGN.md §10).
  *
  * A block is a maximal straight-line run: leaders are instruction 0,
  * every branch target, and every instruction after a branch or Halt;
@@ -10,14 +11,15 @@
  * leaders, execution that enters a block always runs it leader to
  * terminator — so any *static* per-instruction accounting can be
  * summed once per block instead of once per instruction. The
- * aggregates here cover exactly the counters the interpreter would
- * otherwise bump on every dynamic instruction: macro-instruction and
- * µop totals, the memo-µop subset, and the per-event-class µop deltas
- * that feed EventCounters::addRange(). Region markers execute inside
- * blocks but are excluded from the aggregates, mirroring the
- * interpreter's marker shortcut. Dynamic quantities (mispredicts,
- * queue stalls, latencies, loads on this path vs that) are untouched —
- * batching amortizes associative counters only, never timing.
+ * aggregates here are the interpreter's only source for those static
+ * counters: macro-instruction and µop totals, the memo-µop subset, and
+ * the per-event-class µop deltas that feed EventCounters::addRange()
+ * (the per-instruction recount that cross-checks them lives in
+ * test_sim). Region markers execute inside blocks but are excluded
+ * from the aggregates, mirroring the interpreter's marker shortcut.
+ * Dynamic quantities (mispredicts, queue stalls, latencies, loads on
+ * this path vs that) are untouched — block counting covers associative
+ * counters only, never timing.
  */
 
 #ifndef AXMEMO_ISA_BLOCKS_HH

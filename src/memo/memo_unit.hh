@@ -166,10 +166,6 @@ class MemoizationUnit
 
     const MemoUnitConfig &config() const { return config_; }
 
-    /** The hashing engine (exposed for host-path introspection: the
-     * Host trace flag reports which CRC data path is active). */
-    const CrcEngine &engine() const { return engine_; }
-
     /** True while the quality monitor has not disabled memoization. */
     bool enabled() const { return !monitor_.tripped(); }
 

@@ -1,5 +1,7 @@
 #include "obs/telemetry.hh"
 
+#include "obs/json_escape.hh"
+
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -43,28 +45,6 @@ void
 collectLocked(Store &s)
 {
     s.dropped += detail::drainAll(s.events);
-}
-
-void
-appendEscaped(std::string &out, const char *text)
-{
-    for (const char *p = text; *p; ++p) {
-        const unsigned char c = static_cast<unsigned char>(*p);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
 }
 
 void
@@ -151,7 +131,7 @@ renderSnapshotLineLocked(Store &s)
     s.lastInsts = insts;
 
     std::string line = "{\"worker\":\"";
-    appendEscaped(line, s.workerId.c_str());
+    appendJsonEscaped(line, s.workerId.c_str());
     line += "\",\"ts\":";
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%lld",
@@ -243,7 +223,7 @@ renderTimeline(const std::string &processLabel)
                   "\"tid\":0,\"args\":{\"name\":\"",
                   pid);
     out += buf;
-    appendEscaped(out, processLabel.c_str());
+    appendJsonEscaped(out, processLabel.c_str());
     out += "\"}}";
 
     const std::map<std::string, int> tids = tidTable(s.events);
@@ -253,7 +233,7 @@ renderTimeline(const std::string &processLabel)
                       "\"pid\":%lld,\"tid\":%d,\"args\":{\"name\":\"",
                       pid, entry.second);
         out += buf;
-        appendEscaped(out,
+        appendJsonEscaped(out,
                       entry.first.empty() ? "main" : entry.first.c_str());
         out += "\"}}";
     }
@@ -266,7 +246,7 @@ renderTimeline(const std::string &processLabel)
                           "\"ts\":%" PRIu64 ",\"name\":\"",
                           pid, tid, event.startUs);
             out += buf;
-            appendEscaped(out, event.name);
+            appendJsonEscaped(out, event.name);
             out += "\",\"args\":{\"value\":";
             appendDouble(out, event.value);
             out += "}}";
@@ -277,9 +257,9 @@ renderTimeline(const std::string &processLabel)
                       "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"cat\":\"",
                       pid, tid, event.startUs, event.durUs);
         out += buf;
-        appendEscaped(out, event.category);
+        appendJsonEscaped(out, event.category);
         out += "\",\"name\":\"";
-        appendEscaped(out, event.name);
+        appendJsonEscaped(out, event.name);
         std::snprintf(buf, sizeof(buf),
                       "\",\"args\":{\"id\":%" PRIu64 ",\"parent\":%" PRIu64
                       "}}",

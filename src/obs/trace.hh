@@ -55,7 +55,6 @@ enum class Flag : unsigned
     Lut,   ///< lookup-table internals: insert/evict/invalidate
     Sweep, ///< sweep engine: phases, job lifecycle, cache reuse
     Prof,  ///< phase-timer begin/end events
-    Host,  ///< host-side execution paths (dispatch mode, CRC kernel)
     NumFlags
 };
 

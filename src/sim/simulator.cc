@@ -1,45 +1,15 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bits.hh"
 #include "common/expected.hh"
 #include "common/log.hh"
-#include "common/runtime_options.hh"
 #include "isa/disasm.hh"
 #include "obs/trace.hh"
 
-/**
- * Computed-goto (labels-as-values) threaded dispatch is a GNU
- * extension; gate it on the compilers that provide it. runSwitch() is
- * built everywhere, and AXMEMO_DISPATCH=switch selects it at run time.
- */
-#if defined(__GNUC__) || defined(__clang__)
-#define AXMEMO_HAVE_COMPUTED_GOTO 1
-#else
-#define AXMEMO_HAVE_COMPUTED_GOTO 0
-#endif
-
 namespace axmemo {
-
-namespace {
-
-/** EnergyClass -> µop event id (NumEvents = "charge nothing"). */
-constexpr Ev kUopEvent[] = {
-    Ev::UopIntAlu,    // EnergyClass::IntAlu
-    Ev::UopIntMul,    // EnergyClass::IntMul
-    Ev::UopIntDiv,    // EnergyClass::IntDiv
-    Ev::UopFpSimple,  // EnergyClass::FpSimple
-    Ev::UopFpMul,     // EnergyClass::FpMul
-    Ev::UopFpDiv,     // EnergyClass::FpDiv
-    Ev::UopFpLong,    // EnergyClass::FpLong
-    Ev::UopMem,       // EnergyClass::Mem
-    Ev::UopBranch,    // EnergyClass::Branch
-    Ev::UopMemo,      // EnergyClass::Memo
-    Ev::NumEvents,    // EnergyClass::None
-};
-
-} // namespace
 
 Simulator::Simulator(const Program &prog, SimMemory &mem,
                      const SimConfig &config)
@@ -88,8 +58,6 @@ Simulator::Simulator(const Program &prog, SimMemory &mem,
         d.issueFu =
             traits.fu == FuClass::None ? FuClass::IntAlu : traits.fu;
         d.pipelined = traits.pipelined;
-        d.memoCounted = inst.isMemoOp() && inst.op != Op::LdCrc;
-        d.uopEv = kUopEvent[static_cast<std::size_t>(traits.energy)];
     }
     blocks_ = partitionBlocks(prog);
     // Mark fallthrough block boundaries: an instruction whose
@@ -207,28 +175,10 @@ Simulator::raiseRunaway()
 }
 
 Cycle
-Simulator::runSwitch()
+Simulator::interpret()
 {
-#define AXM_THREADED 0
 #include "sim/interp_body.inc"
-#undef AXM_THREADED
 }
-
-#if AXMEMO_HAVE_COMPUTED_GOTO
-Cycle
-Simulator::runThreaded()
-{
-#define AXM_THREADED 1
-#include "sim/interp_body.inc"
-#undef AXM_THREADED
-}
-#else
-Cycle
-Simulator::runThreaded()
-{
-    return runSwitch(); // threaded dispatch not compiled in
-}
-#endif
 
 const SimStats &
 Simulator::run()
@@ -239,30 +189,7 @@ Simulator::run()
     if (config_.memoEnabled)
         memoUnit_.reset();
 
-    // Resolve the host-side execution strategy. These knobs select
-    // between bit-identical data paths (simulated state, stats, and
-    // traces match across all settings), so they are run-time options,
-    // not part of the experiment configuration.
-    const RuntimeOptions opts = RuntimeOptions::global();
-    batched_ = opts.blockBatch;
-    nextPoll_ = 0x10000;
-#if AXMEMO_HAVE_COMPUTED_GOTO
-    const bool threaded = opts.dispatch != "switch";
-#else
-    const bool threaded = false;
-    if (opts.dispatch == "threaded")
-        axm_warn("simulator: threaded dispatch not compiled in "
-                 "(compiler lacks computed goto); falling back to switch");
-#endif
-    if (trace::enabled(trace::Flag::Host)) {
-        trace::setCycle(0);
-        AXM_TRACE(Host, "host",
-                  "dispatch=", threaded ? "threaded" : "switch",
-                  " batch=", batched_ ? "on" : "off",
-                  " crc=", memoUnit_.engine().bulkPathName());
-    }
-
-    const Cycle endCycle = threaded ? runThreaded() : runSwitch();
+    const Cycle endCycle = interpret();
 
     stats_.cycles = std::max(endCycle, frontCycle_);
     ev_.mergeInto(stats_.events);

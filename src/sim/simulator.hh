@@ -17,18 +17,16 @@
  * lookup waits for the pending CRC then probes the LUTs with Table 4
  * latencies, and br_hit/br_miss consume the condition flag it sets.
  *
- * Interpreter dispatch (DESIGN.md §10). The per-instruction handlers
- * live once in sim/interp_body.inc and are instantiated twice: as a
- * plain switch (the portable fallback) and as computed-goto threaded
- * dispatch where labels-as-values is available (GCC/Clang).
- * AXMEMO_DISPATCH / --dispatch selects the mode at run time; both
- * produce bit-identical simulated state, stats, and traces.
- * Independently, macro-op batching (AXMEMO_NO_BATCH / --no-batch to
- * disable) folds the purely static per-instruction
+ * Interpreter (DESIGN.md §10). One loop, sim/interp_body.inc, with
+ * computed-goto (labels-as-values) dispatch: each static instruction's
+ * handler address is resolved once per run, so the hot path is one
+ * indexed load plus an indirect jump. The purely static per-instruction
  * counters — macro-instruction, µop, and per-class µop-event totals —
- * into per-basic-block sums (isa/blocks.hh) added once per block
- * entry, with the runaway guard and watchdog poll moving to block
+ * are folded into per-basic-block sums (isa/blocks.hh) added once per
+ * block entry, with the runaway guard and watchdog poll at block
  * granularity. Dynamic stats and all timing stay per-instruction.
+ * SimStats.BlockCountersMatchPerInstructionRecount checks the block
+ * sums against a per-instruction recount of the retired trace.
  */
 
 #ifndef AXMEMO_SIM_SIMULATOR_HH
@@ -36,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -173,20 +170,10 @@ class Simulator
     float floatReg(FReg reg) const;
 
     /**
-     * Optional per-retired-instruction observer (static index). Used for
-     * ad-hoc observers; adds no timing cost but pays a std::function
-     * call per retired instruction — prefer setTraceBuffer for capture.
-     */
-    void setTraceHook(std::function<void(InstIndex, const Inst &)> hook)
-    {
-        traceHook_ = std::move(hook);
-    }
-
-    /**
-     * Reusable-buffer trace capture: retired instructions are appended
-     * straight into @p buffer (no indirect call, no allocation once the
-     * buffer's capacity is warm). Takes precedence over the hook.
-     * @p buffer must outlive the simulator.
+     * Trace capture: every retired instruction (region markers
+     * included) is appended straight into @p buffer (no indirect call,
+     * no allocation once the buffer's capacity is warm). @p buffer must
+     * outlive the simulator.
      */
     void setTraceBuffer(TraceBuffer *buffer) { traceBuf_ = buffer; }
 
@@ -213,16 +200,13 @@ class Simulator
         FuClass fu = FuClass::IntAlu;      ///< raw unit (None = marker)
         FuClass issueFu = FuClass::IntAlu; ///< unit gating issue
         bool pipelined = true;
-        bool memoCounted = false; ///< contributes to stats_.memoUops
         /** Straight-line successor starts a new basic block (it is a
-         * branch target): batched mode must enterBlock() on
-         * fallthrough, not only at control transfers. */
+         * branch target): the loop must enterBlock() on fallthrough,
+         * not only at control transfers. */
         bool enterNext = false;
-        Ev uopEv = Ev::NumEvents; ///< NumEvents when EnergyClass::None
-        /** Handler address for threaded dispatch, resolved by the
-         * runThreaded() prelude (labels are function-local); unused by
-         * runSwitch(). Lives here so dispatch reads it from the same
-         * cache line as the rest of the decode. */
+        /** Handler address, resolved by the interpret() prelude
+         * (labels are function-local). Lives here so dispatch reads it
+         * from the same cache line as the rest of the decode. */
         const void *label = nullptr;
     };
 
@@ -230,9 +214,9 @@ class Simulator
     Cycle issueUops(Cycle earliest, unsigned uops);
     Cycle *fuSlot(FuClass fu);
 
-    // --- interpreter cores (sim/interp_body.inc, see file comment) ---
-    Cycle runSwitch();
-    Cycle runThreaded();
+    /** The interpreter loop (sim/interp_body.inc, see file comment);
+     * @return the cycle the last result became ready. */
+    Cycle interpret();
     /** Fold a block's static aggregates into the stats at block entry;
      * runs the runaway guard and watchdog poll at block granularity.
      * Inline: it fires once per basic block, and hot blocks are short. */
@@ -279,7 +263,7 @@ class Simulator
     BranchPredictor predictor_;
 
     std::vector<Decoded> decoded_;
-    /** Basic-block decomposition with static aggregates (batching). */
+    /** Basic-block decomposition with static aggregates. */
     BlockMap blocks_;
 
     std::vector<std::uint64_t> intRegs_;
@@ -290,10 +274,8 @@ class Simulator
     std::uint32_t dummyReadyIdx_ = 0;
     std::uint32_t zeroReadyIdx_ = 0;
 
-    // Run-time interpreter mode (resolved from RuntimeOptions by run()).
-    bool batched_ = true;
-    /** Next stats_.macroInsts threshold for the batched watchdog poll. */
-    std::uint64_t nextPoll_ = 0;
+    /** Next stats_.macroInsts threshold for the watchdog poll. */
+    std::uint64_t nextPoll_ = 0x10000;
 
     // Front-end slot accounting.
     Cycle frontCycle_ = 0;
@@ -321,7 +303,6 @@ class Simulator
     EventCounters ev_;
     /** Dynamic entries per region id (RegionBegin hint, Section 5). */
     std::unordered_map<std::int64_t, std::uint64_t> regionCounts_;
-    std::function<void(InstIndex, const Inst &)> traceHook_;
     TraceBuffer *traceBuf_ = nullptr;
     bool ran_ = false;
 };

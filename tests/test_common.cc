@@ -591,48 +591,6 @@ TEST(RuntimeOptions, SharedValidatorsParseWholeStringsStrictly)
               "malformed --lease='abc' (want a positive number)");
 }
 
-TEST(RuntimeOptions, DispatchBatchKnobsParse)
-{
-    const char *const knobs[] = {"AXMEMO_DISPATCH", "AXMEMO_NO_BATCH"};
-    std::vector<std::string> saved; // empty == was unset (or empty)
-    for (const char *knob : knobs) {
-        const char *value = std::getenv(knob);
-        saved.push_back(value ? value : "");
-        unsetenv(knob);
-    }
-
-    const RuntimeOptions defaults = RuntimeOptions::fromEnv();
-    EXPECT_EQ(defaults.dispatch, "auto");
-    EXPECT_TRUE(defaults.blockBatch);
-
-    setenv("AXMEMO_DISPATCH", "switch", 1);
-    setenv("AXMEMO_NO_BATCH", "1", 1);
-    const RuntimeOptions parsed = RuntimeOptions::fromEnv();
-    EXPECT_EQ(parsed.dispatch, "switch");
-    EXPECT_FALSE(parsed.blockBatch);
-
-    setenv("AXMEMO_DISPATCH", "threaded", 1);
-    EXPECT_EQ(RuntimeOptions::fromEnv().dispatch, "threaded");
-
-    // "0" is the explicit default spelling, not malformed.
-    setenv("AXMEMO_NO_BATCH", "0", 1);
-    EXPECT_TRUE(RuntimeOptions::fromEnv().blockBatch);
-
-    // Malformed values warn and keep the defaults, never crash.
-    setenv("AXMEMO_DISPATCH", "turbo", 1);
-    setenv("AXMEMO_NO_BATCH", "yes", 1);
-    const RuntimeOptions defensive = RuntimeOptions::fromEnv();
-    EXPECT_EQ(defensive.dispatch, "auto");
-    EXPECT_TRUE(defensive.blockBatch);
-
-    for (std::size_t i = 0; i < saved.size(); ++i) {
-        if (saved[i].empty())
-            unsetenv(knobs[i]);
-        else
-            setenv(knobs[i], saved[i].c_str(), 1);
-    }
-}
-
 TEST(RuntimeOptions, DescribeKnobsMentionsEveryKnob)
 {
     const std::string table = RuntimeOptions::describeKnobs();
@@ -640,12 +598,14 @@ TEST(RuntimeOptions, DescribeKnobsMentionsEveryKnob)
          {"AXMEMO_JOBS", "AXMEMO_SCALE", "AXMEMO_FULL",
           "AXMEMO_SWEEP_DIR", "AXMEMO_DEBUG", "AXMEMO_RETRIES",
           "AXMEMO_JOB_TIMEOUT", "AXMEMO_TIMING",
-          "AXMEMO_FAULT_INJECT", "AXMEMO_DISPATCH", "AXMEMO_NO_BATCH"})
+          "AXMEMO_FAULT_INJECT", "AXMEMO_SHARD_DIR", "AXMEMO_WORKER_ID",
+          "AXMEMO_LEASE", "AXMEMO_ISOLATE", "AXMEMO_TIMELINE"})
         EXPECT_NE(table.find(knob), std::string::npos) << knob;
     for (const char *flag :
          {"--jobs", "--scale", "--full", "--out", "--debug-flags",
           "--retries", "--job-timeout", "--no-timing",
-          "--fault-inject", "--dispatch", "--no-batch"})
+          "--fault-inject", "--shard-dir", "--worker-id", "--lease",
+          "--isolate", "--trace-timeline"})
         EXPECT_NE(table.find(flag), std::string::npos) << flag;
 }
 

@@ -15,7 +15,6 @@
 #include "compiler/dddg.hh"
 #include "compiler/region_finder.hh"
 #include "compiler/software_transform.hh"
-#include "compiler/trace.hh"
 #include "compiler/transform.hh"
 #include "isa/builder.hh"
 #include "isa/disasm.hh"
@@ -90,13 +89,13 @@ TEST(Trace, RecordsWindowAndTruncates)
     b.forRange(0, 100, 1, [&](IReg) { b.imm(1); });
     const Program p = b.finish();
     SimMemory mem;
-    TraceRecorder recorder(50);
+    TraceBuffer buffer(50);
     Simulator sim(p, mem, {});
-    sim.setTraceHook(recorder.hook());
+    sim.setTraceBuffer(&buffer);
     sim.run();
-    EXPECT_EQ(recorder.entries().size(), 50u);
-    EXPECT_TRUE(recorder.truncated());
-    EXPECT_GT(recorder.observed(), 100u);
+    EXPECT_EQ(buffer.entries().size(), 50u);
+    EXPECT_TRUE(buffer.truncated());
+    EXPECT_GT(buffer.observed(), 100u);
 }
 
 // ---------------------------------------------------------------- dddg
@@ -110,13 +109,13 @@ TEST(Dddg, EdgesFollowDefUse)
     (void)z;
     const Program p = b.finish();
 
-    TraceRecorder recorder;
+    TraceBuffer buffer;
     SimMemory mem;
     Simulator sim(p, mem, {});
-    sim.setTraceHook(recorder.hook());
+    sim.setTraceBuffer(&buffer);
     sim.run();
 
-    const Dddg graph(p, recorder.entries());
+    const Dddg graph(p, buffer.entries());
     ASSERT_GE(graph.size(), 3u);
     const auto &verts = graph.vertices();
     EXPECT_EQ(verts[0].kind, VertexKind::Const);
@@ -151,13 +150,13 @@ TEST(Dddg, RegionAttribution)
     b.fadd(x, x);
     const Program p = b.finish();
 
-    TraceRecorder recorder;
+    TraceBuffer buffer;
     SimMemory mem;
     Simulator sim(p, mem, {});
-    sim.setTraceHook(recorder.hook());
+    sim.setTraceBuffer(&buffer);
     sim.run();
 
-    const Dddg graph(p, recorder.entries());
+    const Dddg graph(p, buffer.entries());
     bool sawInside = false;
     bool sawOutside = false;
     for (const auto &v : graph.vertices()) {
@@ -179,13 +178,13 @@ TEST(RegionFinder, FindsLoopBodyAndDedups)
 {
     MiniKernel kernel;
     const Program p = kernel.build();
-    TraceRecorder recorder;
+    TraceBuffer buffer;
     SimMemory mem = std::move(kernel.mem);
     Simulator sim(p, mem, {});
-    sim.setTraceHook(recorder.hook());
+    sim.setTraceBuffer(&buffer);
     sim.run();
 
-    const Dddg graph(p, recorder.entries());
+    const Dddg graph(p, buffer.entries());
     RegionFinderConfig config;
     config.minCiRatio = 2.0;
     const RegionFinder finder(config);
@@ -205,12 +204,12 @@ TEST(RegionFinder, ThresholdFiltersEverything)
 {
     MiniKernel kernel;
     const Program p = kernel.build();
-    TraceRecorder recorder;
+    TraceBuffer buffer;
     SimMemory mem = std::move(kernel.mem);
     Simulator sim(p, mem, {});
-    sim.setTraceHook(recorder.hook());
+    sim.setTraceBuffer(&buffer);
     sim.run();
-    const Dddg graph(p, recorder.entries());
+    const Dddg graph(p, buffer.entries());
 
     RegionFinderConfig config;
     config.minCiRatio = 1e9;

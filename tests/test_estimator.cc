@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "compiler/speedup_estimator.hh"
-#include "compiler/trace.hh"
 #include "core/experiment.hh"
 #include "sim/simulator.hh"
 
@@ -83,11 +82,11 @@ TEST(Estimator, OrdersRealBenchmarksLikeTheSimulator)
         params.scale = 0.01;
         workload->prepare(mem, params);
         const Program prog = workload->build();
-        TraceRecorder recorder(1u << 18);
+        TraceBuffer buffer(1u << 18);
         Simulator sim(prog, mem, {});
-        sim.setTraceHook(recorder.hook());
+        sim.setTraceBuffer(&buffer);
         sim.run();
-        const Dddg graph(prog, recorder.entries());
+        const Dddg graph(prog, buffer.entries());
         const RegionAnalysis analysis = RegionFinder().analyze(graph);
         const SpeedupEstimator est;
         std::vector<std::uint64_t> hints(analysis.unique.size(),

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json_escape.hh"
 #include "obs/profiler.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -314,6 +315,18 @@ TEST(StatSet, OverflowBucketCountingInTextAndJson)
     EXPECT_NE(json.find("\"underflow\":1"), std::string::npos) << json;
     EXPECT_NE(json.find("\"overflow\":2"), std::string::npos) << json;
     EXPECT_NE(json.find("\"samples\":4"), std::string::npos) << json;
+}
+
+// ------------------------------------------------------- JSON escaping
+
+TEST(JsonEscape, ShortEscapesAndControlBytes)
+{
+    std::string out;
+    appendJsonEscaped(out, "q\"b\\n\nr\rt\t\x01\x1f ~");
+    EXPECT_EQ(out, "q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f ~");
+    std::string quoted = "x=";
+    appendJsonString(quoted, "a\"b");
+    EXPECT_EQ(quoted, "x=\"a\\\"b\"");
 }
 
 // ---------------------------------------------------------- debug flags

@@ -8,16 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "common/runtime_options.hh"
+#include "compiler/transform.hh"
+#include "isa/blocks.hh"
 #include "isa/builder.hh"
 #include "memsys/sim_memory.hh"
 #include "sim/branch_predictor.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace axmemo {
 namespace {
@@ -227,13 +230,14 @@ TEST(SimFunctional, TraceHookSeesEveryInstruction)
 {
     KernelBuilder b("trace");
     b.forRange(0, 3, 1, [&](IReg) { b.imm(1); });
-    std::uint64_t count = 0;
     SimMemory mem;
     const Program p = b.finish();
+    TraceBuffer trace;
     Simulator sim(p, mem, {});
-    sim.setTraceHook([&count](InstIndex, const Inst &) { ++count; });
+    sim.setTraceBuffer(&trace);
     const SimStats &stats = sim.run();
-    EXPECT_EQ(count, stats.macroInsts);
+    EXPECT_EQ(trace.entries().size(), stats.macroInsts);
+    EXPECT_EQ(trace.observed(), stats.macroInsts);
 }
 
 TEST(SimFunctional, RunawayLoopGuard)
@@ -403,97 +407,74 @@ TEST(SimTiming, StatsAddUp)
 }
 
 /**
- * The dispatch-mode and block-batching knobs (DESIGN.md §10) select
- * host-side execution strategies only: every combination must retire
- * the same instructions, charge the same cycles, and count the same
- * events. This is the in-process twin of tests/dispatch_equivalence.sh,
- * which diffs whole artifact runs across binaries.
+ * The interpreter charges macro-instruction, µop, memo-µop and
+ * µop-class event counts once per basic block (DESIGN.md §10).
+ * Recounting them one retired instruction at a time from the trace is
+ * the reference those block sums must reproduce exactly, on every
+ * workload both as built and after the AxMemo transform.
  */
-TEST(SimEquivalence, DispatchAndBatchModesAreBitIdentical)
+TEST(SimStats, BlockCountersMatchPerInstructionRecount)
 {
-    struct Outcome
-    {
-        SimStats stats;
-        std::uint64_t acc = 0;
-        float fval = 0.0f;
-    };
+    // @return the memo µops the run retired.
+    const auto check = [](const Program &prog, SimMemory &mem,
+                          const SimConfig &config) -> std::uint64_t {
+        TraceBuffer trace(std::numeric_limits<std::size_t>::max());
+        Simulator sim(prog, mem, config);
+        sim.setTraceBuffer(&trace);
+        const SimStats &stats = sim.run();
+        EXPECT_FALSE(trace.truncated());
 
-    const auto runWith = [](const char *dispatch,
-                            bool batch) -> Outcome {
-        setenv("AXMEMO_DISPATCH", dispatch, 1);
-        setenv("AXMEMO_NO_BATCH", batch ? "0" : "1", 1);
-        if (RuntimeOptions::globalFrozen()) {
-            RuntimeOptions opts = RuntimeOptions::global();
-            opts.dispatch = dispatch;
-            opts.blockBatch = batch;
-            RuntimeOptions::setGlobal(opts);
+        std::uint64_t macroInsts = 0;
+        std::uint64_t uops = 0;
+        std::uint64_t memoUops = 0;
+        std::array<std::uint64_t, numUopEvents> events{};
+        for (const TraceEntry &entry : trace.entries()) {
+            const Inst &inst = prog.at(entry.staticId);
+            if (inst.op == Op::RegionBegin || inst.op == Op::RegionEnd)
+                continue; // markers retire but cost nothing
+            const OpTraits &traits = opTraits(inst.op);
+            const std::uint64_t n = std::max(1u, traits.uops);
+            ++macroInsts;
+            uops += n;
+            if (inst.isMemoOp() && inst.op != Op::LdCrc)
+                memoUops += n;
+            events[static_cast<std::size_t>(Ev::FrontendUops)] += n;
+            const Ev ev = uopEventOf(traits.energy);
+            if (ev != Ev::NumEvents)
+                events[static_cast<std::size_t>(ev)] += n;
         }
 
-        // Loops, taken/not-taken branches, loads, stores, and float
-        // math: one of each thing the inner loop specializes on.
-        KernelBuilder b("equiv");
-        const IReg base = b.imm(0x2000);
-        const IReg acc = b.imm(0);
-        b.forRange(0, 24, 1, [&](IReg i) {
-            const IReg addr = b.add(base, b.shl(i, 2));
-            b.st(addr, 0, i, 4);
-            const IReg back = b.ld(addr, 0, 4);
-            b.addTo(acc, acc, back);
-            b.ifThenElse(b.band(i, 1), [&] { b.addTo(acc, acc, 1); },
-                         [&] { b.addTo(acc, acc, 2); });
-        });
-        const FReg x = b.fimm(1.5f);
-        const FReg y = b.fadd(b.fmul(x, x), x);
+        EXPECT_GT(macroInsts, 0u);
+        EXPECT_EQ(stats.macroInsts, macroInsts);
+        EXPECT_EQ(stats.uops, uops);
+        EXPECT_EQ(stats.memoUops, memoUops);
+        for (std::size_t i = 0; i < numUopEvents; ++i) {
+            const char *name = eventName(static_cast<Ev>(i));
+            EXPECT_EQ(stats.events.get(name), events[i]) << name;
+        }
+        return memoUops;
+    };
 
+    WorkloadParams params;
+    params.scale = 0.01;
+    for (const std::string &name : workloadNames()) {
+        SCOPED_TRACE(name);
+        const auto workload = makeWorkload(name);
+        {
+            SimMemory mem;
+            workload->prepare(mem, params);
+            const Program prog = workload->build();
+            EXPECT_EQ(check(prog, mem, {}), 0u);
+        }
         SimMemory mem;
-        const Program p = b.finish();
-        Simulator sim(p, mem, {});
-        Outcome out{sim.run(), sim.intReg(acc), sim.floatReg(y)};
-        return out;
-    };
-
-    const auto saveEnv = [](const char *name) -> std::string {
-        const char *value = std::getenv(name);
-        return value ? value : "";
-    };
-    const std::string savedDispatch = saveEnv("AXMEMO_DISPATCH");
-    const std::string savedNoBatch = saveEnv("AXMEMO_NO_BATCH");
-
-    const Outcome ref = runWith("switch", false);
-    EXPECT_EQ(ref.acc, 312u); // sum 0..23 twice + 12*1 + 12*2
-    for (const char *dispatch : {"switch", "threaded", "auto"}) {
-        for (const bool batch : {false, true}) {
-            const Outcome got = runWith(dispatch, batch);
-            SCOPED_TRACE(std::string("dispatch=") + dispatch +
-                         " batch=" + (batch ? "on" : "off"));
-            EXPECT_EQ(got.acc, ref.acc);
-            EXPECT_EQ(got.fval, ref.fval);
-            EXPECT_EQ(got.stats.cycles, ref.stats.cycles);
-            EXPECT_EQ(got.stats.macroInsts, ref.stats.macroInsts);
-            EXPECT_EQ(got.stats.uops, ref.stats.uops);
-            EXPECT_EQ(got.stats.memoUops, ref.stats.memoUops);
-            EXPECT_EQ(got.stats.branches, ref.stats.branches);
-            EXPECT_EQ(got.stats.mispredicts, ref.stats.mispredicts);
-            EXPECT_EQ(got.stats.loads, ref.stats.loads);
-            EXPECT_EQ(got.stats.stores, ref.stats.stores);
-            EXPECT_EQ(got.stats.memoQueueStalls,
-                      ref.stats.memoQueueStalls);
-            EXPECT_EQ(got.stats.regionEntries, ref.stats.regionEntries);
-            EXPECT_EQ(got.stats.events.all(), ref.stats.events.all());
-        }
+        workload->prepare(mem, params);
+        const TransformResult tr =
+            MemoTransform::apply(workload->build(), workload->memoSpec());
+        SimConfig config;
+        config.memoEnabled = true;
+        config.memo.l1Lut.dataBytes = tr.dataBytes;
+        EXPECT_GT(check(tr.program, mem, config), 0u);
     }
-
-    const auto restoreEnv = [](const char *name,
-                               const std::string &value) {
-        if (value.empty())
-            unsetenv(name);
-        else
-            setenv(name, value.c_str(), 1);
-    };
-    restoreEnv("AXMEMO_DISPATCH", savedDispatch);
-    restoreEnv("AXMEMO_NO_BATCH", savedNoBatch);
-    if (RuntimeOptions::globalFrozen())
-        RuntimeOptions::setGlobal(RuntimeOptions::fromEnv());
 }
 
 } // namespace

@@ -24,9 +24,9 @@
  *
  * Fault tolerance (--resume/--retries/--job-timeout/--isolate), shard
  * fleets (--shard-dir/--worker-id/--lease), observability
- * (--debug-flags/--trace-out/--trace-timeline) and the host data-path
- * knobs (--dispatch/--no-batch) are documented in the flag table, the
- * runtime-knob table (`axmemo help`), and DESIGN.md §§8-14.
+ * (--debug-flags/--trace-out/--trace-timeline) are documented in the
+ * flag table, the runtime-knob table (`axmemo help`), and DESIGN.md
+ * §§8-14.
  *
  * `run --jobs <n>` (an in-process thread pool) is the one way to
  * parallelize on one host; --shard-dir workers + `merge` span processes.
@@ -286,10 +286,11 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
         return code;
     }
     if (!runtime.shardDir.empty()) {
-        const std::string workerId =
-            runtime.workerId.empty()
-                ? std::string("w") + std::to_string(::getpid())
-                : runtime.workerId;
+        // Built in place: GCC 12's -Wrestrict misfires on
+        // `std::string("w") + std::to_string(...)` in Release builds.
+        std::string workerId = runtime.workerId;
+        if (workerId.empty())
+            workerId = std::to_string(::getpid()).insert(0, 1, 'w');
         ShardQueue queue(runtime.shardDir, workerId,
                          runtime.leaseSeconds);
         options.shardMode = ShardMode::Worker;

@@ -102,23 +102,6 @@ flagTable()
              a.runtime.isolate = true;
              return true;
          }},
-        {"--dispatch", "<m>", "interpreter loop: auto|threaded|switch",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             if (std::strcmp(v, "auto") != 0 &&
-                 std::strcmp(v, "threaded") != 0 &&
-                 std::strcmp(v, "switch") != 0)
-                 return fail(error,
-                             std::string("--dispatch wants auto, "
-                                         "threaded or switch (got '") +
-                                 v + "')");
-             a.runtime.dispatch = v;
-             return true;
-         }},
-        {"--no-batch", nullptr, "disable basic-block macro-op batching",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.blockBatch = false;
-             return true;
-         }},
         {"--shard-dir", "<dir>", "shared work-queue directory",
          +[](CommonArgs &a, const char *v, std::string *) {
              a.runtime.shardDir = v;
@@ -150,7 +133,7 @@ flagTable()
              return true;
          }},
         {"--debug-flags", "<spec>",
-         "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof,Host|All",
+         "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof|All",
          +[](CommonArgs &, const char *v, std::string *error) {
              std::string why;
              if (!trace::enableFlags(v, &why))

@@ -6,9 +6,8 @@
  * where the repo keeps a reference implementation alongside it (the CRC
  * byte table and bit-serial LFSR, the LUT/cache way scan) times that
  * too, inside the same binary, so the ratios travel with the repo.
- * The fig7 rows then re-run the sweep with each host-side lever
- * toggled to attribute the end-to-end rate, and the dse_scaling row
- * runs the dse smoke grid at 1, 2 and 4 sweep threads.
+ * The fig7 row times the end-to-end sweep once, and the dse_scaling
+ * row runs the dse smoke grid at 1, 2 and 4 sweep threads.
  */
 
 #include "tools/perf.hh"
@@ -531,17 +530,6 @@ benchServe(std::size_t requests)
 }
 
 /**
- * Host-side execution levers for one benchSweep run. Every combination
- * produces bit-identical simulated results (DESIGN.md §10); only the
- * wall clock moves, which is exactly what the per-lever rows attribute.
- */
-struct HostLevers
-{
-    const char *dispatch = "auto"; // auto | threaded | switch
-    bool blockBatch = true;
-};
-
-/**
  * One in-process sweep of the registered artifact @p name at @p scale:
  * enqueue, execute on a SweepEngine with @p workers threads (0 = the
  * driver's --jobs), reduce. The report text is discarded; the timing
@@ -549,18 +537,14 @@ struct HostLevers
  */
 JsonObj
 benchSweep(const char *name, double scale, unsigned workers = 0,
-           const HostLevers &levers = {}, double baselineMinstr = 0.0,
            double *minstrOut = nullptr)
 {
-    // Every knob read (benchScale(), the simulator's dispatch and
-    // batching) goes through the driver's frozen RuntimeOptions, so the
-    // scale and levers are set there.
+    // benchScale() reads the driver's frozen RuntimeOptions, so the
+    // scale is set there.
     RuntimeOptions updated = RuntimeOptions::global();
     updated.scale = scale;
     updated.scaleSet = true;
     updated.full = false;
-    updated.dispatch = levers.dispatch;
-    updated.blockBatch = levers.blockBatch;
     RuntimeOptions::setGlobal(updated);
 
     const std::unique_ptr<Artifact> artifact =
@@ -585,9 +569,6 @@ benchSweep(const char *name, double scale, unsigned workers = 0,
     o.field("wall_seconds", wall);
     o.field("simulated_macro_insts", m.simulatedMacroInsts);
     o.field("simulated_minstr_per_second", m.simulatedMinstrPerSecond);
-    if (baselineMinstr > 0.0)
-        o.field("speedup_vs_switch_nobatch",
-                m.simulatedMinstrPerSecond / baselineMinstr);
     if (minstrOut)
         *minstrOut = m.simulatedMinstrPerSecond;
     return o;
@@ -613,7 +594,7 @@ benchDseScaling(double scale)
     double baseMinstr = 0.0;
     for (const unsigned jobs : {1u, 2u, 4u}) {
         double minstr = 0.0;
-        benchSweep("dse", scale, jobs, {}, 0.0, &minstr);
+        benchSweep("dse", scale, jobs, &minstr);
         o.field("jobs_" + std::to_string(jobs) + "_minstr_per_second",
                 minstr);
         if (jobs == 1)
@@ -875,29 +856,9 @@ runPerf(const PerfOptions &options)
     section("serve", [&] { return benchServe(32'000 / scaleDown); });
     section("fig7", [&] { return benchSweep("fig7", fig7Scale); });
 
-    // Per-lever fig7 rows: the same sweep re-run with each host-side
-    // speed lever toggled, so the entry attributes the end-to-end gain
-    // to dispatch and block batching individually. All three produce
-    // bit-identical simulated results; the switch/no-batch row is the
-    // speedup baseline. The default "fig7" row above stays the
-    // scoreboard metric.
-    double leverBase = 0.0;
-    section("fig7_switch_nobatch", [&] {
-        return benchSweep("fig7", fig7Scale, 0, {"switch", false}, 0.0,
-                          &leverBase);
-    });
-    section("fig7_threaded_nobatch", [&] {
-        return benchSweep("fig7", fig7Scale, 0, {"threaded", false},
-                          leverBase);
-    });
-    section("fig7_threaded_batch", [&] {
-        return benchSweep("fig7", fig7Scale, 0, {"threaded", true},
-                          leverBase);
-    });
-
-    // Thread scaling over the dse smoke grid, with default levers. Full
-    // mode floors the scale at 0.05: below that the smoke jobs are so
-    // short that per-job setup drowns whatever scaling exists.
+    // Thread scaling over the dse smoke grid. Full mode floors the
+    // scale at 0.05: below that the smoke jobs are so short that
+    // per-job setup drowns whatever scaling exists.
     const double dseScale =
         options.quick ? fig7Scale : std::max(fig7Scale, 0.05);
     section("dse_scaling", [&] { return benchDseScaling(dseScale); });
